@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use spasm_machine::{sync, Addr, MemCtx, ProcBody, SetupCtx};
+use spasm_machine::{proc_body, sync, Addr, ProcBody, SetupCtx};
 
 use crate::common::{block_range, close};
 use crate::sparse::SymSparse;
@@ -163,88 +163,88 @@ impl App for Cg {
                 let a = Arc::clone(&a);
                 let (xv, rv, pv, qv) = (xv.clone(), rv.clone(), pv.clone(), qv.clone());
                 let partial_slots = partial_slots.clone();
-                let body: ProcBody = Box::new(move |me, ctx| {
-                    let mem = MemCtx::new(ctx);
+                proc_body(async move |me, mem| {
                     let mut bar = barrier.handle();
                     let (lo, hi) = block_range(n, p, me);
 
                     // Partial-sum reduction: publish the local partial,
                     // rendezvous, processor 0 combines, rendezvous again.
-                    let reduce = |slot: Addr, local: f64, bar: &mut sync::BarrierHandle| {
-                        mem.write_f64(partial_slots[me], local);
-                        bar.wait(&mem);
+                    let reduce = async |slot: Addr, local: f64, bar: &mut sync::BarrierHandle| {
+                        mem.write_f64(partial_slots[me], local).await;
+                        bar.wait(&mem).await;
                         if me == 0 {
                             let mut total = 0.0;
                             for s in &partial_slots {
-                                total += mem.read_f64(*s);
+                                total += mem.read_f64(*s).await;
                             }
-                            mem.compute(CYCLES_VEC * p as u64);
-                            mem.write_f64(slot, total);
+                            mem.compute(CYCLES_VEC * p as u64).await;
+                            mem.write_f64(slot, total).await;
                         }
-                        bar.wait(&mem);
+                        bar.wait(&mem).await;
                     };
 
                     for it in 0..iters as u64 {
                         // rho = r.r over the local slice.
                         let mut local = 0.0;
                         for i in lo..hi {
-                            let ri = mem.read_f64(rv.addr(i));
+                            let ri = mem.read_f64(rv.addr(i)).await;
                             local += ri * ri;
                         }
-                        mem.compute(CYCLES_VEC * (hi - lo) as u64);
-                        reduce(rho_slots.offset_words(it), local, &mut bar);
+                        mem.compute(CYCLES_VEC * (hi - lo) as u64).await;
+                        reduce(rho_slots.offset_words(it), local, &mut bar).await;
 
                         // q = A p over the local rows: the irregular,
                         // data-dependent remote reads.
                         for i in lo..hi {
                             let mut acc = 0.0;
                             for &(j, v) in &a.rows[i] {
-                                acc += v * mem.read_f64(pv.addr(j));
+                                acc += v * mem.read_f64(pv.addr(j)).await;
                             }
-                            mem.compute(CYCLES_MAC * a.rows[i].len() as u64);
-                            mem.write_f64(qv.addr(i), acc);
+                            mem.compute(CYCLES_MAC * a.rows[i].len() as u64).await;
+                            mem.write_f64(qv.addr(i), acc).await;
                         }
 
                         // pq = p.q over the local slice.
                         let mut local = 0.0;
                         for i in lo..hi {
-                            local += mem.read_f64(pv.addr(i)) * mem.read_f64(qv.addr(i));
+                            local +=
+                                mem.read_f64(pv.addr(i)).await * mem.read_f64(qv.addr(i)).await;
                         }
-                        mem.compute(CYCLES_VEC * (hi - lo) as u64);
-                        reduce(pq_slots.offset_words(it), local, &mut bar);
+                        mem.compute(CYCLES_VEC * (hi - lo) as u64).await;
+                        reduce(pq_slots.offset_words(it), local, &mut bar).await;
 
-                        let rho = mem.read_f64(rho_slots.offset_words(it));
-                        let pq = mem.read_f64(pq_slots.offset_words(it));
+                        let rho = mem.read_f64(rho_slots.offset_words(it)).await;
+                        let pq = mem.read_f64(pq_slots.offset_words(it)).await;
                         let alpha = rho / pq;
 
                         // x += alpha p ; r -= alpha q (local slices), then
                         // rho_new = r.r.
                         let mut local = 0.0;
                         for i in lo..hi {
-                            let xi = mem.read_f64(xv.addr(i));
-                            let pi = mem.read_f64(pv.addr(i));
-                            mem.write_f64(xv.addr(i), xi + alpha * pi);
-                            let ri = mem.read_f64(rv.addr(i)) - alpha * mem.read_f64(qv.addr(i));
-                            mem.write_f64(rv.addr(i), ri);
+                            let xi = mem.read_f64(xv.addr(i)).await;
+                            let pi = mem.read_f64(pv.addr(i)).await;
+                            mem.write_f64(xv.addr(i), xi + alpha * pi).await;
+                            let ri = mem.read_f64(rv.addr(i)).await
+                                - alpha * mem.read_f64(qv.addr(i)).await;
+                            mem.write_f64(rv.addr(i), ri).await;
                             local += ri * ri;
                         }
-                        mem.compute(2 * CYCLES_VEC * (hi - lo) as u64);
-                        reduce(rho_new_slots.offset_words(it), local, &mut bar);
+                        mem.compute(2 * CYCLES_VEC * (hi - lo) as u64).await;
+                        reduce(rho_new_slots.offset_words(it), local, &mut bar).await;
 
                         // p = r + beta p: writes that invalidate every
                         // consumer's cached copy of p.
-                        let rho_new = mem.read_f64(rho_new_slots.offset_words(it));
+                        let rho_new = mem.read_f64(rho_new_slots.offset_words(it)).await;
                         let beta = rho_new / rho;
                         for i in lo..hi {
-                            let pi = mem.read_f64(pv.addr(i));
-                            let ri = mem.read_f64(rv.addr(i));
-                            mem.write_f64(pv.addr(i), ri + beta * pi);
+                            let pi = mem.read_f64(pv.addr(i)).await;
+                            let ri = mem.read_f64(rv.addr(i)).await;
+                            mem.write_f64(pv.addr(i), ri + beta * pi).await;
                         }
-                        mem.compute(CYCLES_VEC * (hi - lo) as u64);
-                        bar.wait(&mem);
+                        mem.compute(CYCLES_VEC * (hi - lo) as u64).await;
+                        bar.wait(&mem).await;
                     }
-                });
-                body
+                })
             })
             .collect();
 

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use spasm_machine::{sync, Addr, MemCtx, Pred, ProcBody, SetupCtx};
+use spasm_machine::{proc_body, sync, Addr, Pred, ProcBody, SetupCtx};
 
 use crate::common::close;
 use crate::sparse::{symbolic_cholesky, SymSparse};
@@ -120,8 +120,7 @@ impl App for Cholesky {
                 let pattern = Arc::clone(&pattern);
                 let col_bases = col_bases.clone();
                 let col_locks = col_locks.clone();
-                let body: ProcBody = Box::new(move |_me, ctx| {
-                    let mem = MemCtx::new(ctx);
+                proc_body(async move |_me, mem| {
                     let pos = |col: usize, row: usize| -> u64 {
                         pattern[col]
                             .binary_search(&row)
@@ -131,17 +130,17 @@ impl App for Cholesky {
 
                     loop {
                         // Pop a runnable column.
-                        sync::lock(&mem, qlock);
-                        let head = mem.read(qhead);
-                        let tail = mem.read(qtail);
+                        sync::lock(&mem, qlock).await;
+                        let head = mem.read(qhead).await;
+                        let tail = mem.read(qtail).await;
                         let job = if head < tail {
-                            let j = mem.read(items.offset_words(head));
-                            mem.write(qhead, head + 1);
+                            let j = mem.read(items.offset_words(head)).await;
+                            mem.write(qhead, head + 1).await;
                             Some(j as usize)
                         } else {
                             None
                         };
-                        sync::unlock(&mem, qlock);
+                        sync::unlock(&mem, qlock).await;
 
                         let Some(j) = job else {
                             // Read the version BEFORE the done counter:
@@ -150,13 +149,13 @@ impl App for Cholesky {
                             // `done` here guarantees the final version
                             // bump is still ahead of `v` and the wait
                             // below cannot miss it.
-                            let v = mem.read(version);
-                            if mem.read(done) == n as u64 {
+                            let v = mem.read(version).await;
+                            if mem.read(done).await == n as u64 {
                                 break;
                             }
                             // Idle until something is enqueued or the last
                             // column completes.
-                            mem.wait_until(version, Pred::Ge(v + 1));
+                            mem.wait_until(version, Pred::Ge(v + 1)).await;
                             continue;
                         };
 
@@ -165,51 +164,53 @@ impl App for Cholesky {
                         let rows = &pattern[j];
                         let mut vals = Vec::with_capacity(rows.len());
                         for slot in 0..rows.len() as u64 {
-                            vals.push(mem.read_f64(col_bases[j].offset_words(slot)));
+                            vals.push(mem.read_f64(col_bases[j].offset_words(slot)).await);
                         }
-                        mem.compute(CYCLES_CDIV * rows.len() as u64);
+                        mem.compute(CYCLES_CDIV * rows.len() as u64).await;
                         let diag = vals[0].sqrt();
                         vals[0] = diag;
                         for v in &mut vals[1..] {
                             *v /= diag;
                         }
                         for (slot, &v) in vals.iter().enumerate() {
-                            mem.write_f64(col_bases[j].offset_words(slot as u64), v);
+                            mem.write_f64(col_bases[j].offset_words(slot as u64), v)
+                                .await;
                         }
 
                         // Fan-out: cmod(i, j) for every i in j's structure.
                         for (idx, &i) in rows.iter().enumerate().skip(1) {
                             let lij = vals[idx];
-                            sync::lock(&mem, col_locks[i]);
+                            sync::lock(&mem, col_locks[i]).await;
                             for (&r, &lrj) in rows[idx..].iter().zip(&vals[idx..]) {
                                 let slot = pos(i, r);
                                 let addr = col_bases[i].offset_words(slot);
-                                let cur = mem.read_f64(addr);
-                                mem.write_f64(addr, cur - lij * lrj);
+                                let cur = mem.read_f64(addr).await;
+                                mem.write_f64(addr, cur - lij * lrj).await;
                             }
-                            mem.compute(CYCLES_CMOD * (rows.len() - idx) as u64);
-                            sync::unlock(&mem, col_locks[i]);
+                            mem.compute(CYCLES_CMOD * (rows.len() - idx) as u64).await;
+                            sync::unlock(&mem, col_locks[i]).await;
 
                             // Column i lost one dependency; enqueue when
                             // it becomes runnable.
-                            let old = mem.fetch_add(nmod_base.offset_words(i as u64), u64::MAX);
+                            let old = mem
+                                .fetch_add(nmod_base.offset_words(i as u64), u64::MAX)
+                                .await;
                             if old == 1 {
-                                sync::lock(&mem, qlock);
-                                let tail = mem.read(qtail);
-                                mem.write(items.offset_words(tail), i as u64);
-                                mem.write(qtail, tail + 1);
-                                sync::unlock(&mem, qlock);
-                                mem.fetch_add(version, 1);
+                                sync::lock(&mem, qlock).await;
+                                let tail = mem.read(qtail).await;
+                                mem.write(items.offset_words(tail), i as u64).await;
+                                mem.write(qtail, tail + 1).await;
+                                sync::unlock(&mem, qlock).await;
+                                mem.fetch_add(version, 1).await;
                             }
                         }
 
-                        let finished = mem.fetch_add(done, 1) + 1;
+                        let finished = mem.fetch_add(done, 1).await + 1;
                         if finished == n as u64 {
-                            mem.fetch_add(version, 1); // release idlers
+                            mem.fetch_add(version, 1).await; // release idlers
                         }
                     }
-                });
-                body
+                })
             })
             .collect();
 

@@ -1,6 +1,6 @@
 //! EP — the NAS Embarrassingly Parallel kernel.
 
-use spasm_machine::{sync, MemCtx, Pred, ProcBody, SetupCtx};
+use spasm_machine::{proc_body, sync, Pred, ProcBody, SetupCtx};
 
 use crate::common::{block_range, close, proc_rng};
 use crate::{App, BuiltApp, SizeClass};
@@ -98,8 +98,7 @@ impl App for Ep {
 
         let bodies: Vec<ProcBody> = (0..p)
             .map(|_| {
-                let body: ProcBody = Box::new(move |me, ctx| {
-                    let mem = MemCtx::new(ctx);
+                proc_body(async move |me, mem| {
                     let (lo, hi) = block_range(pairs, p, me);
 
                     // Private computation: executed natively, charged in
@@ -107,37 +106,36 @@ impl App for Ep {
                     let todo = hi - lo;
                     let full_chunks = todo / CHUNK;
                     for _ in 0..full_chunks {
-                        mem.compute(CYCLES_PER_PAIR * CHUNK as u64);
+                        mem.compute(CYCLES_PER_PAIR * CHUNK as u64).await;
                     }
-                    mem.compute(CYCLES_PER_PAIR * (todo % CHUNK) as u64);
+                    mem.compute(CYCLES_PER_PAIR * (todo % CHUNK) as u64).await;
                     let (q, sx, sy) = local_stats(seed, me, lo, hi);
 
                     // Lock-protected global accumulation.
-                    sync::lock(&mem, lock);
+                    sync::lock(&mem, lock).await;
                     for (l, &count) in q.iter().enumerate() {
                         if count > 0 {
                             let addr = q_global.offset_words(l as u64);
-                            let cur = mem.read(addr);
-                            mem.write(addr, cur + count);
+                            let cur = mem.read(addr).await;
+                            mem.write(addr, cur + count).await;
                         }
                     }
-                    let cur = mem.read_f64(sx_global);
-                    mem.write_f64(sx_global, cur + sx);
-                    let cur = mem.read_f64(sy_global);
-                    mem.write_f64(sy_global, cur + sy);
-                    sync::unlock(&mem, lock);
+                    let cur = mem.read_f64(sx_global).await;
+                    mem.write_f64(sx_global, cur + sx).await;
+                    let cur = mem.read_f64(sy_global).await;
+                    mem.write_f64(sy_global, cur + sy).await;
+                    sync::unlock(&mem, lock).await;
 
                     // Completion: everyone spins on the condition variable
                     // until node 0 observes all arrivals and signals.
-                    mem.fetch_add(done, 1);
+                    mem.fetch_add(done, 1).await;
                     if me == 0 {
-                        mem.wait_until(done, Pred::Ge(p as u64));
-                        flag.signal(&mem, 1);
+                        mem.wait_until(done, Pred::Ge(p as u64)).await;
+                        flag.signal(&mem, 1).await;
                     } else {
-                        flag.wait(&mem);
+                        flag.wait(&mem).await;
                     }
-                });
-                body
+                })
             })
             .collect();
 

@@ -2,7 +2,7 @@
 
 use std::f64::consts::PI;
 
-use spasm_machine::{sync, Addr, MemCtx, ProcBody, SetupCtx};
+use spasm_machine::{proc_body, sync, Addr, ProcBody, SetupCtx};
 use spasm_prng::Rng;
 
 use crate::common::{close, proc_rng};
@@ -121,8 +121,7 @@ impl App for Fft {
             .map(|_| {
                 let a = a_bases.clone();
                 let b = b_bases.clone();
-                let body: ProcBody = Box::new(move |me, ctx| {
-                    let mem = MemCtx::new(ctx);
+                proc_body(async move |me, mem| {
                     let mut bar = barrier.handle();
                     let (lo, hi) = (me * chunk, (me + 1) * chunk);
                     let mut src = &a;
@@ -134,10 +133,16 @@ impl App for Fft {
                             let pos = k % m;
                             let partner = if pos < half { k + half } else { k - half };
                             let pa = elem_addr(src, partner);
-                            let (pre, pim) = (mem.read_f64(pa), mem.read_f64(pa.offset_words(1)));
+                            let (pre, pim) = (
+                                mem.read_f64(pa).await,
+                                mem.read_f64(pa.offset_words(1)).await,
+                            );
                             let oa = elem_addr(src, k);
-                            let (ore, oim) = (mem.read_f64(oa), mem.read_f64(oa.offset_words(1)));
-                            mem.compute(CYCLES_PER_BUTTERFLY);
+                            let (ore, oim) = (
+                                mem.read_f64(oa).await,
+                                mem.read_f64(oa.offset_words(1)).await,
+                            );
+                            mem.compute(CYCLES_PER_BUTTERFLY).await;
                             let (re, im) = if pos < half {
                                 // Upper half of the butterfly: u + v.
                                 (ore + pre, oim + pim)
@@ -150,14 +155,13 @@ impl App for Fft {
                                 (dre * c - dim * s, dre * s + dim * c)
                             };
                             let da = elem_addr(dst, k);
-                            mem.write_f64(da, re);
-                            mem.write_f64(da.offset_words(1), im);
+                            mem.write_f64(da, re).await;
+                            mem.write_f64(da.offset_words(1), im).await;
                         }
-                        bar.wait(&mem);
+                        bar.wait(&mem).await;
                         std::mem::swap(&mut src, &mut dst);
                     }
-                });
-                body
+                })
             })
             .collect();
 

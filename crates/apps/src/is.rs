@@ -1,6 +1,6 @@
 //! IS — the NAS Integer Sort kernel (bucket / counting sort).
 
-use spasm_machine::{sync, Addr, MemCtx, ProcBody, SetupCtx};
+use spasm_machine::{proc_body, sync, Addr, ProcBody, SetupCtx};
 use spasm_prng::Rng;
 
 use crate::common::{block_range, proc_rng};
@@ -133,8 +133,7 @@ impl App for Is {
                 let offs = offs_bases.clone();
                 let locks = locks.clone();
                 let out = out_bases.clone();
-                let body: ProcBody = Box::new(move |me, ctx| {
-                    let mem = MemCtx::new(ctx);
+                proc_body(async move |me, mem| {
                     let mut bar = barrier.handle();
                     let (lo, hi) = block_range(keys, p, me);
                     let my_keys = local_keys(seed, me, lo, hi, buckets);
@@ -142,7 +141,7 @@ impl App for Is {
                     // Phase 1: private histogram (native + charged).
                     let mut local = vec![0u64; buckets];
                     for batch in my_keys.chunks(CHUNK) {
-                        mem.compute(CYCLES_HIST * batch.len() as u64);
+                        mem.compute(CYCLES_HIST * batch.len() as u64).await;
                         for &k in batch {
                             local[k as usize] += 1;
                         }
@@ -157,41 +156,40 @@ impl App for Is {
                         if local[blo..bhi].iter().all(|&c| c == 0) {
                             continue;
                         }
-                        sync::lock(&mem, locks[target]);
+                        sync::lock(&mem, locks[target]).await;
                         for (b, &count) in local[blo..bhi].iter().enumerate() {
                             if count > 0 {
                                 let addr = bucket_addr(&hist, blo + b);
-                                let cur = mem.read(addr);
-                                mem.write(addr, cur + count);
+                                let cur = mem.read(addr).await;
+                                mem.write(addr, cur + count).await;
                             }
                         }
-                        sync::unlock(&mem, locks[target]);
+                        sync::unlock(&mem, locks[target]).await;
                     }
-                    bar.wait(&mem);
+                    bar.wait(&mem).await;
 
                     // Phase 3: serial exclusive prefix sum by proc 0 (the
                     // algorithmic serial fraction).
                     if me == 0 {
                         let mut acc = 0u64;
                         for b in 0..buckets {
-                            let c = mem.read(bucket_addr(&hist, b));
-                            mem.write(bucket_addr(&offs, b), acc);
+                            let c = mem.read(bucket_addr(&hist, b)).await;
+                            mem.write(bucket_addr(&offs, b), acc).await;
                             acc += c;
                         }
                     }
-                    bar.wait(&mem);
+                    bar.wait(&mem).await;
 
                     // Phase 4: claim ranks atomically and scatter keys.
                     for batch in my_keys.chunks(CHUNK) {
-                        mem.compute(CYCLES_RANK * batch.len() as u64);
+                        mem.compute(CYCLES_RANK * batch.len() as u64).await;
                         for &k in batch {
-                            let rank = mem.fetch_add(bucket_addr(&offs, k as usize), 1);
-                            mem.write(out_addr(&out, rank as usize), k);
+                            let rank = mem.fetch_add(bucket_addr(&offs, k as usize), 1).await;
+                            mem.write(out_addr(&out, rank as usize), k).await;
                         }
                     }
-                    bar.wait(&mem);
-                });
-                body
+                    bar.wait(&mem).await;
+                })
             })
             .collect();
 

@@ -16,7 +16,7 @@
 
 use std::f64::consts::PI;
 
-use spasm_machine::{MemCtx, ProcBody, SetupCtx};
+use spasm_machine::{proc_body, ProcBody, SetupCtx};
 
 use crate::common::{block_range, close, proc_rng};
 use crate::{App, BuiltApp, SizeClass};
@@ -78,10 +78,9 @@ impl App for MsgEp {
 
         let bodies: Vec<ProcBody> = (0..p)
             .map(|_| {
-                let body: ProcBody = Box::new(move |me, ctx| {
-                    let mem = MemCtx::new(ctx);
+                proc_body(async move |me, mem| {
                     let (lo, hi) = block_range(pairs, p, me);
-                    mem.compute(CYCLES_PER_PAIR * (hi - lo) as u64);
+                    mem.compute(CYCLES_PER_PAIR * (hi - lo) as u64).await;
                     let mut bins = ep_local_bins(seed, me, lo, hi);
 
                     // Binary-tree reduction: at round r, processors with
@@ -95,12 +94,12 @@ impl App for MsgEp {
                         if me & bit != 0 {
                             // One message per bin (tag = bin index).
                             for (l, &count) in bins.iter().enumerate() {
-                                mem.send(me - bit, 32, l as u64, count);
+                                mem.send(me - bit, 32, l as u64, count).await;
                             }
                             break;
                         } else if me + bit < p {
                             for (l, bin) in bins.iter_mut().enumerate() {
-                                *bin += mem.recv(l as u64);
+                                *bin += mem.recv(l as u64).await;
                             }
                         }
                         round += 1;
@@ -110,23 +109,22 @@ impl App for MsgEp {
                     const DONE_TAG: u64 = 100;
                     if me == 0 {
                         for (l, &count) in bins.iter().enumerate() {
-                            mem.write(out.offset_words(l as u64), count);
+                            mem.write(out.offset_words(l as u64), count).await;
                         }
                     } else {
-                        mem.recv(DONE_TAG);
+                        mem.recv(DONE_TAG).await;
                     }
                     let mut bit = 1usize;
                     while bit < p {
                         if me & (bit - 1) == 0 && me & bit == 0 && me + bit < p {
-                            mem.send(me + bit, 8, DONE_TAG, 1);
+                            mem.send(me + bit, 8, DONE_TAG, 1).await;
                         }
                         bit <<= 1;
                     }
                     if me == p - 1 || p == 1 {
-                        mem.write(done, 1);
+                        mem.write(done, 1).await;
                     }
-                });
-                body
+                })
             })
             .collect();
 
@@ -222,8 +220,7 @@ impl App for MsgFft {
         let bodies: Vec<ProcBody> = (0..p)
             .map(|_| {
                 let signal = signal.clone();
-                let body: ProcBody = Box::new(move |me, ctx| {
-                    let mem = MemCtx::new(ctx);
+                proc_body(async move |me, mem| {
                     let lo = me * chunk;
                     // Local chunk, computed natively; communication is
                     // explicit chunk exchange.
@@ -237,18 +234,17 @@ impl App for MsgFft {
                             let partner = me ^ (half / chunk);
                             // Exchange: send all components, then receive.
                             for (i, &(re, im)) in data.iter().enumerate() {
-                                mem.send(partner, 32, (2 * i) as u64, re.to_bits());
-                                mem.send(partner, 32, (2 * i + 1) as u64, im.to_bits());
+                                mem.send(partner, 32, (2 * i) as u64, re.to_bits()).await;
+                                mem.send(partner, 32, (2 * i + 1) as u64, im.to_bits())
+                                    .await;
                             }
-                            let other: Vec<(f64, f64)> = (0..chunk)
-                                .map(|i| {
-                                    (
-                                        f64::from_bits(mem.recv((2 * i) as u64)),
-                                        f64::from_bits(mem.recv((2 * i + 1) as u64)),
-                                    )
-                                })
-                                .collect();
-                            mem.compute(CYCLES_PER_BUTTERFLY * chunk as u64);
+                            let mut other: Vec<(f64, f64)> = Vec::with_capacity(chunk);
+                            for i in 0..chunk {
+                                let re = f64::from_bits(mem.recv((2 * i) as u64).await);
+                                let im = f64::from_bits(mem.recv((2 * i + 1) as u64).await);
+                                other.push((re, im));
+                            }
+                            mem.compute(CYCLES_PER_BUTTERFLY * chunk as u64).await;
                             let upper = me < partner;
                             for i in 0..chunk {
                                 let k = lo + i;
@@ -266,7 +262,8 @@ impl App for MsgFft {
                             }
                         } else {
                             // Local stage: in-chunk butterflies.
-                            mem.compute(CYCLES_PER_BUTTERFLY * (chunk / 2).max(1) as u64);
+                            mem.compute(CYCLES_PER_BUTTERFLY * (chunk / 2).max(1) as u64)
+                                .await;
                             let mut next = data.clone();
                             for i in 0..chunk {
                                 let k = lo + i;
@@ -294,24 +291,26 @@ impl App for MsgFft {
                     const GATHER: u64 = 1 << 20;
                     if me == 0 {
                         for (i, &(re, im)) in data.iter().enumerate() {
-                            mem.write_f64(out.offset_words((2 * i) as u64), re);
-                            mem.write_f64(out.offset_words((2 * i + 1) as u64), im);
+                            mem.write_f64(out.offset_words((2 * i) as u64), re).await;
+                            mem.write_f64(out.offset_words((2 * i + 1) as u64), im)
+                                .await;
                         }
                         for k in chunk..n {
-                            let re = f64::from_bits(mem.recv(GATHER + 2 * k as u64));
-                            let im = f64::from_bits(mem.recv(GATHER + 2 * k as u64 + 1));
-                            mem.write_f64(out.offset_words((2 * k) as u64), re);
-                            mem.write_f64(out.offset_words((2 * k + 1) as u64), im);
+                            let re = f64::from_bits(mem.recv(GATHER + 2 * k as u64).await);
+                            let im = f64::from_bits(mem.recv(GATHER + 2 * k as u64 + 1).await);
+                            mem.write_f64(out.offset_words((2 * k) as u64), re).await;
+                            mem.write_f64(out.offset_words((2 * k + 1) as u64), im)
+                                .await;
                         }
                     } else {
                         for (i, &(re, im)) in data.iter().enumerate() {
                             let k = lo + i;
-                            mem.send(0, 32, GATHER + 2 * k as u64, re.to_bits());
-                            mem.send(0, 32, GATHER + 2 * k as u64 + 1, im.to_bits());
+                            mem.send(0, 32, GATHER + 2 * k as u64, re.to_bits()).await;
+                            mem.send(0, 32, GATHER + 2 * k as u64 + 1, im.to_bits())
+                                .await;
                         }
                     }
-                });
-                body
+                })
             })
             .collect();
 

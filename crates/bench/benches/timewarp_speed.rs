@@ -6,7 +6,7 @@
 //! records what the speculation buys in wall-clock, and at what
 //! rollback cost. EP on CLogP is the headline config: its iterations
 //! are compute-heavy with ack-class memory traffic, so nearly every
-//! rendezvous speculates and batches. At this size EP's one racing
+//! resume is speculated ahead of its commit. At this size EP's one racing
 //! counter collides only past the replay horizon, where inexact
 //! speculation has already shut off — so the expected rollback rate is
 //! zero, and the gauges exist to catch it coming back (e.g. a horizon

@@ -173,6 +173,10 @@ impl Harness {
         let _ = writeln!(s, "{{");
         let _ = writeln!(s, "  \"harness\": \"{}\",", escape(&self.name));
         let _ = writeln!(s, "  \"warmup_iters\": {},", self.warmup);
+        // Host CPUs: baselines taken on hosts of different widths are not
+        // comparable row for row, so each file says which it came from.
+        let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+        let _ = writeln!(s, "  \"nproc\": {nproc},");
         let _ = writeln!(s, "  \"benches\": [");
         for (i, r) in self.results.iter().enumerate() {
             let comma = if i + 1 < self.results.len() { "," } else { "" };
@@ -247,6 +251,7 @@ mod tests {
         h.bench("group/case", || 1 + 1);
         let json = h.to_json();
         assert!(json.contains("\"harness\": \"unit\""));
+        assert!(json.contains("\"nproc\": "));
         assert!(json.contains("\"name\": \"group/case\""));
         assert!(json.contains("\"median_ns\""));
         assert!(json.contains("\"p95_ns\""));

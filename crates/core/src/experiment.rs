@@ -545,12 +545,12 @@ mod tests {
 
     #[test]
     fn panicking_bodies_yield_typed_errors_not_aborts() {
-        use spasm_machine::ProcBody;
+        use spasm_machine::{proc_body, ProcBody};
         for machine in Machine::ALL {
             let setup = SetupCtx::new(2);
             let bodies: Vec<ProcBody> = vec![
-                Box::new(|_, _| panic!("app body exploded")),
-                Box::new(|_, _| {}),
+                proc_body(async |_, _| panic!("app body exploded")),
+                proc_body(async |_, _| {}),
             ];
             let err =
                 run_bodies(machine, Net::Full, 2, machine.config(), setup, bodies).unwrap_err();

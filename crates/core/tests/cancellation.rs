@@ -13,7 +13,7 @@ use spasm_apps::SizeClass;
 use spasm_core::journal::SweepJournal;
 use spasm_core::sweep::{run_figure_journaled, run_figure_with, SweepConfig};
 use spasm_core::{figures, Machine};
-use spasm_machine::{CheckMode, Engine, EngineMode, MemCtx, ProcBody, RunError, SetupCtx};
+use spasm_machine::{proc_body, CheckMode, Engine, EngineMode, ProcBody, RunError, SetupCtx};
 use spasm_topology::Topology;
 
 /// The rollback-heavy schedule from the equivalence suite: two
@@ -23,14 +23,12 @@ use spasm_topology::Topology;
 fn straggler_bodies(counter: spasm_machine::Addr) -> Vec<ProcBody> {
     (0..2)
         .map(|_| {
-            let b: ProcBody = Box::new(move |_, ctx| {
-                let mem = MemCtx::new(ctx);
+            proc_body(async move |_, mem| {
                 for _ in 0..30 {
-                    mem.fetch_add(counter, 1);
-                    mem.compute(5);
+                    mem.fetch_add(counter, 1).await;
+                    mem.compute(5).await;
                 }
-            });
-            b
+            })
         })
         .collect()
 }

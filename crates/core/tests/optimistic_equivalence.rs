@@ -13,7 +13,7 @@ use spasm_apps::{AppId, SizeClass};
 use spasm_core::sweep::{run_figure_with, SweepConfig};
 use spasm_core::{figures, Machine};
 use spasm_machine::{
-    CheckMode, Engine, EngineMode, FaultPlan, MemCtx, ProcBody, RunReport, SetupCtx,
+    proc_body, CheckMode, Engine, EngineMode, FaultPlan, ProcBody, RunReport, SetupCtx,
     TelemetryConfig,
 };
 use spasm_topology::Topology;
@@ -162,14 +162,12 @@ fn straggler_write_forces_rollback_with_identical_results() {
     fn bodies(counter: spasm_machine::Addr) -> Vec<ProcBody> {
         (0..2)
             .map(|_| {
-                let b: ProcBody = Box::new(move |_, ctx| {
-                    let mem = MemCtx::new(ctx);
+                proc_body(async move |_, mem| {
                     for _ in 0..30 {
-                        mem.fetch_add(counter, 1);
-                        mem.compute(5);
+                        mem.fetch_add(counter, 1).await;
+                        mem.compute(5).await;
                     }
-                });
-                b
+                })
             })
             .collect()
     }

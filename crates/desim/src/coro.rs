@@ -1,242 +1,48 @@
-//! Simulation processes as OS-thread coroutines.
+//! Simulation processes as polled `async` state machines.
 //!
 //! The paper's SPASM simulator is *execution-driven*: application code
 //! actually executes, and only operations that may touch the network are
-//! simulated. We reproduce that structure by running each simulated
-//! processor's program as a real OS thread that **rendezvouses** with the
-//! single-threaded simulator:
+//! simulated. SPASM ran each simulated processor as a CSIM process — a
+//! cheap coroutine. We get the same structure from Rust's `async`
+//! lowering: each processor's program is an `async` body that the
+//! compiler turns into a resumable state machine, and the single-threaded
+//! simulator *polls* it:
 //!
-//! * exactly one process thread is runnable at any instant — the simulator
-//!   resumes a process by sending it a response, then blocks until that
-//!   process either issues its next request or finishes;
+//! * exactly one process runs at any instant — the simulator resumes a
+//!   process by depositing a response and polling its future once; the
+//!   poll returns when the process issues its next request (an `.await`
+//!   on [`CoroCtx::call`]) or finishes;
 //! * consequently the interleaving of processes is chosen entirely by the
 //!   simulator's event queue, and simulations are fully deterministic;
-//! * application code is ordinary blocking Rust: control flow may depend on
-//!   values computed from shared data (dynamic task queues, sparse
-//!   structures), which is exactly what makes execution-driven simulation
-//!   more faithful than trace-driven simulation.
+//! * application code is ordinary Rust with `.await` at each simulated
+//!   operation: control flow may depend on values computed from shared
+//!   data (dynamic task queues, sparse structures), which is exactly what
+//!   makes execution-driven simulation more faithful than trace-driven
+//!   simulation.
+//!
+//! There is no executor here in the usual sense: no wake queue, no
+//! reactor, no task scheduling. The event loop decides who runs and polls
+//! that one future with a no-op waker. A suspended process is just a heap
+//! allocation; terminating one (a finished run, a rollback, a failed run)
+//! is dropping its future.
 
+use std::cell::Cell;
+use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-
-// ---------------------------------------------------------------------------
-// Single-slot rendezvous channel
-// ---------------------------------------------------------------------------
-//
-// The simulator↔process handoff is the hottest edge in the whole stack:
-// every simulated memory operation crosses it twice (request out,
-// response in). `std::sync::mpsc` channels park the receiving thread on
-// every recv, which costs a futex sleep + wake syscall pair per crossing.
-// But a rendezvous has a special shape — exactly one value is ever in
-// flight, and the peer is about to produce it — so a single-slot channel
-// that briefly spins and yields before parking completes most handoffs
-// with no syscall beyond the scheduler's own context switch.
-//
-// Protocol safety: `waiting` is only set by the receiver while holding
-// the lock, and `Condvar::wait` releases that lock atomically, so a
-// sender that sees `waiting == true` knows the receiver is (or is about
-// to be) parked and a `notify_one` cannot be lost. A sender that sees
-// `waiting == false` skips the notify entirely — the receiver is in its
-// spin/yield phase and will observe the value on its next lock.
-
-/// Spin-then-yield budget before parking on the condvar. The first few
-/// iterations use `spin_loop` (cheap, helps when the peer runs on another
-/// core); the rest call `yield_now`, which on a loaded or single-CPU host
-/// donates the timeslice straight to the peer thread.
-const SPIN_ROUNDS: u32 = 16;
-const YIELD_ROUNDS: u32 = 4;
-
-struct Slot<T> {
-    value: Option<T>,
-    waiting: bool,
-    closed: bool,
-}
-
-struct Chan<T> {
-    slot: Mutex<Slot<T>>,
-    cv: Condvar,
-    /// Bumped under the lock on every deposit/close. Receivers spin on
-    /// this instead of taking the lock each round; a change guarantees
-    /// the next locked check finds the value (or the close flag).
-    gen: AtomicU32,
-}
-
-struct Sender<T>(Arc<Chan<T>>);
-
-struct Receiver<T> {
-    chan: Arc<Chan<T>>,
-}
-
-// Bound-free Debug (like mpsc's endpoints): the payload is opaque.
-impl<T> std::fmt::Debug for Sender<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Sender { .. }")
-    }
-}
-
-impl<T> std::fmt::Debug for Receiver<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Receiver { .. }")
-    }
-}
-
-fn channel<T>() -> (Sender<T>, Receiver<T>) {
-    let chan = Arc::new(Chan {
-        slot: Mutex::new(Slot {
-            value: None,
-            waiting: false,
-            closed: false,
-        }),
-        cv: Condvar::new(),
-        gen: AtomicU32::new(0),
-    });
-    (Sender(Arc::clone(&chan)), Receiver { chan })
-}
-
-impl<T> Chan<T> {
-    fn close(&self) {
-        let mut s = self.slot.lock().expect("rendezvous lock poisoned");
-        s.closed = true;
-        self.gen.fetch_add(1, Ordering::Release);
-        self.cv.notify_all();
-    }
-}
-
-impl<T> Sender<T> {
-    /// Deposits `value` for the receiver. Errors (returning the value)
-    /// if the channel is closed. The rendezvous protocol guarantees the
-    /// slot is empty: only one value is ever in flight per channel.
-    fn send(&self, value: T) -> Result<(), T> {
-        let mut s = self.0.slot.lock().expect("rendezvous lock poisoned");
-        if s.closed {
-            return Err(value);
-        }
-        assert!(
-            s.value.is_none(),
-            "rendezvous protocol violation: slot full"
-        );
-        s.value = Some(value);
-        self.0.gen.fetch_add(1, Ordering::Release);
-        if s.waiting {
-            self.0.cv.notify_one();
-        }
-        Ok(())
-    }
-
-    /// Closes the channel, waking and erroring any parked receiver.
-    fn close(&self) {
-        self.0.close();
-    }
-}
-
-impl<T> Clone for Sender<T> {
-    // Cloning shares the channel; dropping a clone does NOT close it
-    // (the env channel has one sender per process thread).
-    fn clone(&self) -> Self {
-        Sender(Arc::clone(&self.0))
-    }
-}
-
-impl<T> Receiver<T> {
-    /// One locked inspection of the slot. `Some(result)` if a value or
-    /// close was found; `None` (plus the generation observed under the
-    /// lock) if the slot is still empty.
-    fn try_take(&self) -> Result<Result<T, ()>, u32> {
-        let mut s = self.chan.slot.lock().expect("rendezvous lock poisoned");
-        if let Some(v) = s.value.take() {
-            return Ok(Ok(v));
-        }
-        if s.closed {
-            return Ok(Err(()));
-        }
-        // `gen` only changes under this lock, so the value read here is
-        // exact: any later bump means a deposit or close we have not seen.
-        Err(self.chan.gen.load(Ordering::Acquire))
-    }
-
-    /// Blocks until a value arrives or the channel closes, parking on the
-    /// condvar once the spin/yield budget runs out. Used by process
-    /// threads: their next resume may be arbitrarily far in the future
-    /// (other processes run first), so they must eventually sleep.
-    fn recv(&self) -> Result<T, ()> {
-        let gen0 = match self.try_take() {
-            Ok(done) => return done,
-            Err(g) => g,
-        };
-        // Fast path: watch the generation hint without touching the lock.
-        for round in 0..(SPIN_ROUNDS + YIELD_ROUNDS) {
-            if self.chan.gen.load(Ordering::Acquire) != gen0 {
-                if let Ok(done) = self.try_take() {
-                    return done;
-                }
-                unreachable!("generation advanced but slot empty and open");
-            }
-            if round < SPIN_ROUNDS {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        // Slow path: park until the sender notifies.
-        let mut s = self.chan.slot.lock().expect("rendezvous lock poisoned");
-        loop {
-            if let Some(v) = s.value.take() {
-                return Ok(v);
-            }
-            if s.closed {
-                return Err(());
-            }
-            s.waiting = true;
-            s = self.chan.cv.wait(s).expect("rendezvous lock poisoned");
-            s.waiting = false;
-        }
-    }
-
-    /// Like [`Receiver::recv`] but never parks: spins and donates
-    /// timeslices until the value arrives. Used by the simulator while
-    /// awaiting the envelope from the one process it just resumed — that
-    /// process is the only runnable peer and always replies, so parking
-    /// would only add a futex sleep/wake pair to every rendezvous.
-    fn recv_spin(&self) -> Result<T, ()> {
-        let gen0 = match self.try_take() {
-            Ok(done) => return done,
-            Err(g) => g,
-        };
-        let mut round = 0u32;
-        loop {
-            if self.chan.gen.load(Ordering::Acquire) != gen0 {
-                if let Ok(done) = self.try_take() {
-                    return done;
-                }
-                unreachable!("generation advanced but slot empty and open");
-            }
-            if round < SPIN_ROUNDS {
-                round += 1;
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-    }
-}
-
-impl<T> Drop for Receiver<T> {
-    // A vanished receiver must fail subsequent sends (the simulator
-    // treats that as "process thread vanished").
-    fn drop(&mut self) {
-        self.chan.close();
-    }
-}
+use std::pin::Pin;
+use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
 
 /// Identifier of a simulated processor / simulation process.
 pub type ProcId = usize;
 
+/// A simulation process's body: the state machine the pool polls.
+pub type ProcFuture = Pin<Box<dyn Future<Output = ()>>>;
+
 /// What a resumed process did with its time slice.
 #[derive(Debug)]
 pub enum Step<Q> {
-    /// The process issued a request and is blocked awaiting the response.
+    /// The process issued a request and is suspended awaiting the response.
     Request(Q),
     /// The process's body returned normally.
     Done,
@@ -244,21 +50,30 @@ pub enum Step<Q> {
     Panicked(String),
 }
 
-enum Envelope<Q> {
-    Request(ProcId, Q),
-    Done(ProcId),
-    Panicked(ProcId, String),
+/// The per-process slot a request leaves by and a response arrives by.
+/// At most one value sits in each cell: a process issues one request per
+/// resume and the simulator delivers one response per resume.
+struct Chan<Q, R> {
+    req: Cell<Option<Q>>,
+    resp: Cell<Option<R>>,
 }
 
 /// The process-side handle used to issue simulation requests.
 ///
-/// Passed to each process body; [`CoroCtx::call`] blocks the process (in
-/// real time) until the simulator responds (in simulated time).
-#[derive(Debug)]
+/// Passed (by value) to each process body; `ctx.call(req).await`
+/// suspends the process (in real time) until the simulator responds (in
+/// simulated time).
 pub struct CoroCtx<Q, R> {
     me: ProcId,
-    tx: Sender<Envelope<Q>>,
-    rx: Receiver<R>,
+    chan: Rc<Chan<Q, R>>,
+}
+
+impl<Q, R> std::fmt::Debug for CoroCtx<Q, R> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CoroCtx")
+            .field("me", &self.me)
+            .finish_non_exhaustive()
+    }
 }
 
 impl<Q, R> CoroCtx<Q, R> {
@@ -267,56 +82,60 @@ impl<Q, R> CoroCtx<Q, R> {
         self.me
     }
 
-    /// Issues `req` to the simulator and blocks until the response arrives.
+    /// Issues `req` to the simulator; the returned future resolves to the
+    /// simulator's response.
+    ///
+    /// The first poll deposits the request and returns `Pending`, which
+    /// suspends the whole process body and hands control back to the
+    /// simulator; the next poll — the simulator's next
+    /// [`CoroPool::resume`] of this process — yields the response.
     ///
     /// # Panics
     ///
-    /// Unwinds (terminating the process body) if the simulator has shut
-    /// down. [`CoroPool`]'s drop handler triggers exactly this to unwind
-    /// any still-blocked process threads; the unwind uses
-    /// [`std::panic::resume_unwind`] with a private `Shutdown` token, so
-    /// it never reaches the global panic hook (no spurious backtraces) and
-    /// is caught silently by the pool's thread wrapper.
-    pub fn call(&self, req: Q) -> R {
-        if self.tx.send(Envelope::Request(self.me, req)).is_err() {
-            std::panic::resume_unwind(Box::new(Shutdown));
-        }
-        match self.rx.recv() {
-            Ok(resp) => resp,
-            Err(()) => std::panic::resume_unwind(Box::new(Shutdown)),
-        }
+    /// The poll panics (and the pool reports [`Step::Panicked`]) if the
+    /// body has another request in flight, i.e. if it polls two `call`
+    /// futures concurrently instead of awaiting them in turn.
+    pub fn call(&self, req: Q) -> impl Future<Output = R> + '_ {
+        let mut req = Some(req);
+        std::future::poll_fn(move |_| match req.take() {
+            Some(q) => {
+                let prev = self.chan.req.replace(Some(q));
+                assert!(
+                    prev.is_none(),
+                    "process {} has two simulation requests in flight",
+                    self.me
+                );
+                Poll::Pending
+            }
+            None => Poll::Ready(
+                self.chan
+                    .resp
+                    .take()
+                    .expect("process resumed without a response"),
+            ),
+        })
     }
 }
 
-/// Private unwind token for simulator-initiated shutdown of a blocked
-/// process thread. Not a real panic: bypasses the panic hook.
-struct Shutdown;
-
-#[derive(Debug)]
 struct ProcSlot<Q, R> {
-    tx: Sender<R>,
-    /// This process's private envelope channel. One channel per process
-    /// (rather than one shared by the pool) so several processes can have
-    /// deposited envelopes at once — the optimistic engine resumes many
-    /// processes speculatively and collects their envelopes later, which
-    /// would overfill a single shared rendezvous slot.
-    env: Receiver<Envelope<Q>>,
-    handle: Option<JoinHandle<()>>,
-    live: bool,
+    /// `None` once the process finished, panicked, or was killed.
+    fut: Option<ProcFuture>,
+    chan: Rc<Chan<Q, R>>,
 }
 
-/// A pool of simulation processes in rendezvous with the simulator.
+/// A pool of simulation processes driven by the simulator.
 ///
 /// Type parameters: `Q` is the request type processes send to the
 /// simulator; `R` is the response type the simulator sends back.
 ///
 /// # Protocol
 ///
-/// Each process starts parked. The simulator calls [`CoroPool::resume`] with
-/// a response value; the process runs until it issues its next request via
-/// [`CoroCtx::call`] (returned as [`Step::Request`]), returns
-/// ([`Step::Done`]) or panics ([`Step::Panicked`]). The very first `resume`
-/// of a process delivers its "start" response.
+/// Each process starts suspended before its first statement. The
+/// simulator calls [`CoroPool::resume`] with a response value; the
+/// process runs until it awaits its next request via [`CoroCtx::call`]
+/// (returned as [`Step::Request`]), returns ([`Step::Done`]) or panics
+/// ([`Step::Panicked`]). The very first `resume` of a process delivers
+/// its "start" response, which no `call` observes.
 ///
 /// # Example
 ///
@@ -324,12 +143,12 @@ struct ProcSlot<Q, R> {
 /// use spasm_desim::{CoroPool, Step};
 ///
 /// // Processes that ask the simulator to double numbers.
-/// let mut pool: CoroPool<u64, u64> = CoroPool::new(2, |id, ctx| {
-///     let doubled = ctx.call(id as u64 + 1);
+/// let mut pool: CoroPool<u64, u64> = CoroPool::new(2, |id, ctx| async move {
+///     let doubled = ctx.call(id as u64 + 1).await;
 ///     assert_eq!(doubled, (id as u64 + 1) * 2);
 /// });
 /// for p in 0..2 {
-///     // First resume: the "start" value is ignored by `call`-side code.
+///     // First resume: the "start" value is not observed by the body.
 ///     let req = match pool.resume(p, 0) {
 ///         Step::Request(q) => q,
 ///         other => panic!("expected request, got {other:?}"),
@@ -337,33 +156,45 @@ struct ProcSlot<Q, R> {
 ///     assert!(matches!(pool.resume(p, req * 2), Step::Done));
 /// }
 /// ```
-#[derive(Debug)]
 pub struct CoroPool<Q, R> {
     slots: Vec<ProcSlot<Q, R>>,
 }
 
-impl<Q, R> CoroPool<Q, R>
-where
-    Q: Send + 'static,
-    R: Send + 'static,
-{
-    /// Spawns `n` process threads, each running `body(proc_id, ctx)`.
+impl<Q, R> std::fmt::Debug for CoroPool<Q, R> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CoroPool")
+            .field("procs", &self.slots.len())
+            .field(
+                "live",
+                &self.slots.iter().filter(|s| s.fut.is_some()).count(),
+            )
+            .finish()
+    }
+}
+
+impl<Q: 'static, R: 'static> CoroPool<Q, R> {
+    /// Creates `n` processes, each running `body(proc_id, ctx)`.
     ///
-    /// Processes are parked until their first [`CoroPool::resume`].
-    pub fn new<F>(n: usize, body: F) -> Self
+    /// Processes are suspended until their first [`CoroPool::resume`].
+    pub fn new<F, Fut>(n: usize, body: F) -> Self
     where
-        F: Fn(ProcId, &CoroCtx<Q, R>) + Send + Sync + Clone + 'static,
+        F: Fn(ProcId, CoroCtx<Q, R>) -> Fut,
+        Fut: Future<Output = ()> + 'static,
     {
-        Self::from_bodies((0..n).map(|_| body.clone()).collect::<Vec<_>>())
+        Self::from_bodies(
+            (0..n)
+                .map(|_| |id, ctx| Box::pin(body(id, ctx)) as ProcFuture)
+                .collect(),
+        )
     }
 
-    /// Spawns one process per element of `bodies`.
+    /// Creates one process per element of `bodies`.
     ///
-    /// Unlike [`CoroPool::new`], each process can have a distinct body
-    /// (closure), which is how per-processor application kernels are built.
+    /// Unlike [`CoroPool::new`], each process can have a distinct body,
+    /// which is how per-processor application kernels are built.
     pub fn from_bodies<F>(bodies: Vec<F>) -> Self
     where
-        F: FnOnce(ProcId, &CoroCtx<Q, R>) + Send + 'static,
+        F: FnOnce(ProcId, CoroCtx<Q, R>) -> ProcFuture,
     {
         let slots = bodies
             .into_iter()
@@ -373,50 +204,22 @@ where
         CoroPool { slots }
     }
 
-    /// Spawns one process thread with fresh rendezvous channels.
+    /// Builds one process's future around a fresh request/response slot.
     fn spawn_proc<F>(id: ProcId, body: F) -> ProcSlot<Q, R>
     where
-        F: FnOnce(ProcId, &CoroCtx<Q, R>) + Send + 'static,
+        F: FnOnce(ProcId, CoroCtx<Q, R>) -> ProcFuture,
     {
-        // Rendezvous channels: the process blocks until resumed, and its
-        // envelopes land in a slot only the simulator reads.
-        let (resp_tx, resp_rx) = channel::<R>();
-        let (env_tx, env_rx) = channel::<Envelope<Q>>();
-        let handle = std::thread::Builder::new()
-            .name(format!("sim-proc-{id}"))
-            .spawn(move || {
-                // Park until the simulator's first resume.
-                let Ok(_start) = resp_rx.recv() else {
-                    return; // simulator dropped before starting us
-                };
-                let ctx = CoroCtx {
-                    me: id,
-                    tx: env_tx.clone(),
-                    rx: resp_rx,
-                };
-                let result = catch_unwind(AssertUnwindSafe(|| body(id, &ctx)));
-                // If the simulator is gone these sends fail; that is the
-                // normal shutdown path and the error is ignored.
-                let _ = match result {
-                    Ok(()) => env_tx.send(Envelope::Done(id)),
-                    Err(payload) => {
-                        // Teardown-induced unwinds (simulator dropped
-                        // the response channel mid-call) are normal
-                        // shutdown, not application panics.
-                        if payload.is::<Shutdown>() {
-                            return;
-                        }
-                        let msg = panic_message(payload.as_ref());
-                        env_tx.send(Envelope::Panicked(id, msg))
-                    }
-                };
-            })
-            .expect("spawn simulation process thread");
+        let chan = Rc::new(Chan {
+            req: Cell::new(None),
+            resp: Cell::new(None),
+        });
+        let ctx = CoroCtx {
+            me: id,
+            chan: Rc::clone(&chan),
+        };
         ProcSlot {
-            tx: resp_tx,
-            env: env_rx,
-            handle: Some(handle),
-            live: true,
+            fut: Some(body(id, ctx)),
+            chan,
         }
     }
 
@@ -430,134 +233,72 @@ where
         self.slots.is_empty()
     }
 
-    /// Resumes process `proc` with response `resp` and waits for its next
-    /// action.
+    /// Resumes process `proc` with response `resp` and runs it to its
+    /// next action.
+    ///
+    /// The poll runs under `catch_unwind`: a panicking body becomes
+    /// [`Step::Panicked`]. A body that suspends without issuing a request
+    /// (it awaited a future that is not a [`CoroCtx::call`]) is reported
+    /// the same way, since no simulator event could ever resume it. A
+    /// process that finishes or panics is dropped and never polled again.
     ///
     /// # Panics
     ///
     /// Panics if `proc` already finished (resuming a dead process is a
-    /// simulator logic error) or if the process thread vanished without
-    /// reporting (should be impossible).
+    /// simulator logic error).
     pub fn resume(&mut self, proc: ProcId, resp: R) -> Step<Q> {
-        self.resume_async(proc, resp);
-        self.collect(proc)
-    }
-
-    /// Delivers response `resp` to process `proc` without waiting for its
-    /// next envelope. The process becomes runnable and will deposit its
-    /// next envelope whenever the OS schedules it; pair with
-    /// [`CoroPool::collect`] to retrieve it.
-    ///
-    /// This is the speculation primitive: an optimistic simulator can make
-    /// several processes runnable at once and only synchronize with each
-    /// when its envelope is actually needed, amortizing context switches
-    /// across the whole batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `proc` already finished or its thread vanished.
-    pub fn resume_async(&mut self, proc: ProcId, resp: R) {
         let slot = &mut self.slots[proc];
-        assert!(slot.live, "resumed process {proc} after it finished");
-        assert!(slot.tx.send(resp).is_ok(), "process thread vanished");
+        let Some(fut) = slot.fut.as_mut() else {
+            panic!("resumed process {proc} after it finished");
+        };
+        slot.chan.resp.set(Some(resp));
+        let mut cx = Context::from_waker(Waker::noop());
+        let step = match catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx))) {
+            Ok(Poll::Pending) => match slot.chan.req.take() {
+                Some(q) => return Step::Request(q),
+                None => Step::Panicked(format!(
+                    "process {proc} suspended without issuing a simulation request"
+                )),
+            },
+            Ok(Poll::Ready(())) => Step::Done,
+            Err(payload) => Step::Panicked(panic_message(payload.as_ref())),
+        };
+        self.kill(proc);
+        step
     }
 
-    /// Waits for the envelope from a previously resumed process `proc`.
-    ///
-    /// Spins rather than parks: the process is runnable and about to
-    /// deposit (or already has). Exactly one `collect` must follow each
-    /// [`CoroPool::resume_async`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the process thread vanished without reporting.
-    pub fn collect(&mut self, proc: ProcId) -> Step<Q> {
-        match self.slots[proc].env.recv_spin() {
-            Ok(Envelope::Request(p, q)) => {
-                debug_assert_eq!(p, proc, "request from unexpected process");
-                Step::Request(q)
-            }
-            Ok(Envelope::Done(p)) => {
-                debug_assert_eq!(p, proc);
-                self.retire(proc);
-                Step::Done
-            }
-            Ok(Envelope::Panicked(p, msg)) => {
-                debug_assert_eq!(p, proc);
-                self.retire(proc);
-                Step::Panicked(msg)
-            }
-            Err(()) => panic!("process thread vanished"),
-        }
-    }
-
-    /// Forcibly terminates process `proc`, discarding whatever it was
-    /// doing. Closing the response channel unwinds the thread out of its
-    /// next (or current) `call`; any envelope it deposited before dying is
-    /// drained and discarded.
+    /// Terminates process `proc` by dropping its future, discarding
+    /// whatever it was doing. A no-op on a process that already finished.
     ///
     /// This is the rollback primitive: a mis-speculated process cannot be
     /// "rewound", so the optimistic simulator kills it and respawns a
-    /// fresh body, replaying the committed response history. The slot goes
-    /// dead until [`CoroPool::respawn`].
-    ///
-    /// Note the thread is *joined*: a body spinning forever in pure
-    /// computation (never calling the simulator) would hang this join.
-    /// Simulation kernels always issue requests, so this is accepted.
+    /// fresh body, replaying the committed response history. The slot
+    /// stays dead until [`CoroPool::respawn`].
     pub fn kill(&mut self, proc: ProcId) {
-        let slot = &mut self.slots[proc];
-        slot.tx.close();
-        if let Some(h) = slot.handle.take() {
-            let _ = h.join();
-        }
-        slot.live = false;
-        // At most one stale envelope can be in flight (`call` deposits
-        // exactly one before blocking on the response); drop it.
-        let _ = slot.env.try_take();
+        self.slots[proc].fut = None;
     }
 
-    /// Replaces a killed (or finished) process slot with a freshly spawned
-    /// body. The new process is parked awaiting its first resume, exactly
-    /// like at pool construction.
+    /// Replaces a killed (or finished) process with a fresh body. The new
+    /// process is suspended awaiting its first resume, exactly like at
+    /// pool construction.
     ///
     /// # Panics
     ///
-    /// Panics if `proc` is still live — kill or retire it first.
+    /// Panics if `proc` is still live — kill it first.
     pub fn respawn<F>(&mut self, proc: ProcId, body: F)
     where
-        F: FnOnce(ProcId, &CoroCtx<Q, R>) + Send + 'static,
+        F: FnOnce(ProcId, CoroCtx<Q, R>) -> ProcFuture,
     {
         assert!(
-            !self.slots[proc].live,
+            !self.is_live(proc),
             "respawned process {proc} while it is still live"
         );
         self.slots[proc] = Self::spawn_proc(proc, body);
     }
 
-    fn retire(&mut self, proc: ProcId) {
-        let slot = &mut self.slots[proc];
-        slot.live = false;
-        if let Some(h) = slot.handle.take() {
-            let _ = h.join();
-        }
-    }
-
     /// Returns `true` if `proc` has not yet finished.
     pub fn is_live(&self, proc: ProcId) -> bool {
-        self.slots[proc].live
-    }
-}
-
-impl<Q, R> Drop for CoroPool<Q, R> {
-    fn drop(&mut self) {
-        // Unblock any process still parked in `call`: closing the response
-        // channel makes its recv fail, which unwinds the body thread.
-        for slot in &mut self.slots {
-            slot.tx.close();
-            if let Some(h) = slot.handle.take() {
-                let _ = h.join();
-            }
-        }
+        self.slots[proc].fut.is_some()
     }
 }
 
@@ -572,15 +313,17 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 #[cfg(test)]
-#[allow(clippy::needless_range_loop, clippy::type_complexity)]
+#[allow(clippy::needless_range_loop)]
 mod tests {
     use super::*;
 
+    type Body = Box<dyn FnOnce(ProcId, CoroCtx<u32, u32>) -> ProcFuture>;
+
     #[test]
     fn single_process_request_response_cycle() {
-        let mut pool: CoroPool<u32, u32> = CoroPool::new(1, |_, ctx| {
-            let a = ctx.call(10);
-            let b = ctx.call(a + 1);
+        let mut pool: CoroPool<u32, u32> = CoroPool::new(1, |_, ctx| async move {
+            let a = ctx.call(10).await;
+            let b = ctx.call(a + 1).await;
             assert_eq!(b, 22);
         });
         let q = match pool.resume(0, 0) {
@@ -600,16 +343,19 @@ mod tests {
     #[test]
     fn many_processes_interleave_deterministically() {
         let n = 8;
-        let mut pool: CoroPool<usize, usize> = CoroPool::new(n, |id, ctx| {
+        let mut pool: CoroPool<usize, usize> = CoroPool::new(n, |id, ctx| async move {
             for round in 0..3 {
-                let echoed = ctx.call(id * 100 + round);
+                let echoed = ctx.call(id * 100 + round).await;
                 assert_eq!(echoed, id * 100 + round);
             }
         });
-        // Drive round-robin; every request must come from the resumed proc.
+        // Drive round-robin; every request must come from the resumed
+        // proc, in program order.
         let mut pending: Vec<Option<usize>> = vec![None; n];
+        let mut order = Vec::new();
         for p in 0..n {
             if let Step::Request(q) = pool.resume(p, 0) {
+                order.push(q);
                 pending[p] = Some(q);
             }
         }
@@ -619,7 +365,10 @@ mod tests {
             for p in 0..n {
                 if let Some(q) = pending[p].take() {
                     match pool.resume(p, q) {
-                        Step::Request(q2) => pending[p] = Some(q2),
+                        Step::Request(q2) => {
+                            order.push(q2);
+                            pending[p] = Some(q2);
+                        }
                         Step::Done => {}
                         Step::Panicked(m) => panic!("{m}"),
                     }
@@ -629,16 +378,24 @@ mod tests {
                 }
             }
         }
+        let want: Vec<usize> = (0..3)
+            .flat_map(|round| (0..n).map(move |id| id * 100 + round))
+            .collect();
+        assert_eq!(order, want);
     }
 
     #[test]
     fn distinct_bodies_per_process() {
-        let bodies: Vec<Box<dyn FnOnce(ProcId, &CoroCtx<u32, u32>) + Send>> = vec![
+        let bodies: Vec<Body> = vec![
             Box::new(|_, ctx| {
-                ctx.call(1);
+                Box::pin(async move {
+                    ctx.call(1).await;
+                })
             }),
             Box::new(|_, ctx| {
-                ctx.call(2);
+                Box::pin(async move {
+                    ctx.call(2).await;
+                })
             }),
         ];
         let mut pool = CoroPool::from_bodies(bodies);
@@ -656,9 +413,11 @@ mod tests {
 
     #[test]
     fn panicking_body_is_reported_not_propagated() {
-        let mut pool: CoroPool<u32, u32> = CoroPool::new(1, |_, _| {
+        let mut pool: CoroPool<u32, u32> = CoroPool::new(1, |_, ctx| async move {
+            ctx.call(1).await;
             panic!("deliberate test panic");
         });
+        assert!(matches!(pool.resume(0, 0), Step::Request(1)));
         match pool.resume(0, 0) {
             Step::Panicked(msg) => assert!(msg.contains("deliberate test panic")),
             other => panic!("{other:?}"),
@@ -667,99 +426,101 @@ mod tests {
     }
 
     #[test]
+    fn suspending_on_a_foreign_future_is_reported_as_a_panic() {
+        let mut pool: CoroPool<u32, u32> = CoroPool::new(1, |_, _| std::future::pending::<()>());
+        match pool.resume(0, 0) {
+            Step::Panicked(msg) => assert!(msg.contains("without issuing"), "{msg}"),
+            other => panic!("{other:?}"),
+        }
+        assert!(!pool.is_live(0));
+    }
+
+    #[test]
+    fn concurrent_requests_from_one_process_are_reported_as_a_panic() {
+        let mut pool: CoroPool<u32, u32> = CoroPool::new(1, |_, ctx| async move {
+            let mut a = std::pin::pin!(ctx.call(1));
+            let mut b = std::pin::pin!(ctx.call(2));
+            let mut cx = Context::from_waker(Waker::noop());
+            let _ = a.as_mut().poll(&mut cx);
+            let _ = b.as_mut().poll(&mut cx);
+        });
+        match pool.resume(0, 0) {
+            Step::Panicked(msg) => assert!(msg.contains("two simulation requests"), "{msg}"),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
     fn body_returning_without_requests_is_done_immediately() {
-        let mut pool: CoroPool<u32, u32> = CoroPool::new(1, |_, _| {});
+        let mut pool: CoroPool<u32, u32> = CoroPool::new(1, |_, _| async {});
         assert!(matches!(pool.resume(0, 0), Step::Done));
+        assert!(!pool.is_live(0));
     }
 
     #[test]
-    fn dropping_pool_with_blocked_processes_does_not_hang() {
-        let pool: CoroPool<u32, u32> = CoroPool::new(4, |_, ctx| {
-            // Processes immediately block on their first call; the pool is
-            // dropped while they are blocked.
-            let _ = ctx.call(0);
-            unreachable!("never resumed");
+    fn dropping_pool_with_suspended_processes_runs_their_destructors() {
+        struct Guard(Rc<Cell<u32>>);
+        impl Drop for Guard {
+            fn drop(&mut self) {
+                self.0.set(self.0.get() + 1);
+            }
+        }
+        let dropped = Rc::new(Cell::new(0));
+        let d = Rc::clone(&dropped);
+        let mut pool: CoroPool<u32, u32> = CoroPool::new(4, move |_, ctx| {
+            let guard = Guard(Rc::clone(&d));
+            async move {
+                let _guard = guard;
+                let _ = ctx.call(0).await;
+                unreachable!("never resumed");
+            }
         });
-        let mut pool = pool;
-        // Start them so they are genuinely parked inside `call`.
         for p in 0..4 {
-            match pool.resume(p, 0) {
-                Step::Request(_) => {}
-                other => panic!("{other:?}"),
-            }
+            assert!(matches!(pool.resume(p, 0), Step::Request(0)));
         }
-        drop(pool); // must not deadlock or panic
-    }
-
-    #[test]
-    fn async_resume_batch_collects_in_any_order() {
-        let n = 4;
-        let mut pool: CoroPool<usize, usize> = CoroPool::new(n, |id, ctx| {
-            let echoed = ctx.call(id + 100);
-            assert_eq!(echoed, id + 100);
-        });
-        // Make every process runnable at once, then collect in reverse.
-        for p in 0..n {
-            pool.resume_async(p, 0);
-        }
-        for p in (0..n).rev() {
-            match pool.collect(p) {
-                Step::Request(q) => assert_eq!(q, p + 100),
-                other => panic!("{other:?}"),
-            }
-        }
-        for p in 0..n {
-            assert!(matches!(pool.resume(p, p + 100), Step::Done));
-        }
+        assert_eq!(dropped.get(), 0);
+        drop(pool);
+        assert_eq!(dropped.get(), 4);
     }
 
     #[test]
     fn kill_and_respawn_replays_a_fresh_body() {
-        let mut pool: CoroPool<u32, u32> = CoroPool::new(1, |_, ctx| {
-            ctx.call(1);
-            ctx.call(2);
-        });
-        // Run to the second request, then kill mid-rendezvous.
+        fn body(_: ProcId, ctx: CoroCtx<u32, u32>) -> ProcFuture {
+            Box::pin(async move {
+                ctx.call(1).await;
+                ctx.call(2).await;
+            })
+        }
+        let mut pool = CoroPool::from_bodies(vec![body]);
+        // Run to the second request, then kill mid-request.
         assert!(matches!(pool.resume(0, 0), Step::Request(1)));
         assert!(matches!(pool.resume(0, 0), Step::Request(2)));
         pool.kill(0);
         assert!(!pool.is_live(0));
         // The respawned body starts from scratch: same request sequence.
-        pool.respawn(0, |_, ctx: &CoroCtx<u32, u32>| {
-            ctx.call(1);
-            ctx.call(2);
-        });
+        pool.respawn(0, body);
         assert!(pool.is_live(0));
         assert!(matches!(pool.resume(0, 0), Step::Request(1)));
         assert!(matches!(pool.resume(0, 0), Step::Request(2)));
         assert!(matches!(pool.resume(0, 0), Step::Done));
+        // Killing a finished process is a no-op.
+        pool.kill(0);
+        assert!(!pool.is_live(0));
     }
 
     #[test]
-    fn kill_discards_a_deposited_envelope() {
-        let mut pool: CoroPool<u32, u32> = CoroPool::new(1, |_, ctx| {
-            ctx.call(7);
-            unreachable!("killed before the response arrives");
-        });
-        // Resume asynchronously and give the thread time to deposit its
-        // request envelope, then kill without collecting it.
-        pool.resume_async(0, 0);
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        pool.kill(0);
-        pool.respawn(0, |_, ctx: &CoroCtx<u32, u32>| {
-            ctx.call(9);
-        });
-        // The stale envelope (7) must be gone: the first collect after the
-        // respawn sees the fresh body's request.
-        assert!(matches!(pool.resume(0, 0), Step::Request(9)));
+    #[should_panic(expected = "after it finished")]
+    fn resuming_a_finished_process_is_a_logic_error() {
+        let mut pool: CoroPool<u32, u32> = CoroPool::new(1, |_, _| async {});
         assert!(matches!(pool.resume(0, 0), Step::Done));
+        pool.resume(0, 0);
     }
 
     #[test]
     fn proc_id_visible_to_body() {
-        let mut pool: CoroPool<usize, usize> = CoroPool::new(3, |id, ctx| {
+        let mut pool: CoroPool<usize, usize> = CoroPool::new(3, |id, ctx| async move {
             assert_eq!(ctx.id(), id);
-            ctx.call(id);
+            ctx.call(id).await;
         });
         for p in 0..3 {
             match pool.resume(p, 0) {

@@ -15,11 +15,11 @@
 //!   [`HeapQueue`] (binary heap), selected crate-wide by the
 //!   `heap-queue` cargo feature and verified against each other by a
 //!   differential test suite;
-//! * [`CoroPool`] — process-oriented simulation processes implemented as OS
-//!   threads in rendezvous with the (single-threaded) simulator, so that
-//!   application code can be written as ordinary blocking Rust code while the
-//!   simulator retains full control over interleaving (exactly one process
-//!   runs at any instant);
+//! * [`CoroPool`] — process-oriented simulation processes implemented as
+//!   `async` state machines that the (single-threaded) simulator polls, so
+//!   that application code is ordinary Rust with an `.await` at each
+//!   simulated operation while the simulator retains full control over
+//!   interleaving (exactly one process runs at any instant);
 //! * [`Facility`] — a CSIM-style FCFS single-server resource with wait-time
 //!   accounting.
 //!
@@ -46,7 +46,7 @@ mod event_queue;
 mod facility;
 mod time;
 
-pub use coro::{CoroCtx, CoroPool, ProcId, Step};
+pub use coro::{CoroCtx, CoroPool, ProcFuture, ProcId, Step};
 pub use epoch::EpochClock;
 pub use event_queue::{CalendarQueue, HeapQueue, PopIfBefore};
 pub use facility::{Facility, FacilityStats};

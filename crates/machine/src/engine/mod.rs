@@ -9,9 +9,9 @@
 //!   same code.
 //! * [`optimistic`] — a Time-Warp-style layer that delivers *predicted*
 //!   responses to processor coroutines before their commit events pop,
-//!   letting application threads run speculatively past the commit
-//!   horizon. Mispredictions roll the affected processor back (kill,
-//!   respawn, replay committed history) and are annihilated in a
+//!   letting application code run speculatively past the commit
+//!   horizon. Mispredictions roll the affected processor back (drop,
+//!   rebuild, replay committed history) and are annihilated in a
 //!   conservation ledger. Engine-side state only ever mutates in
 //!   committed order, which is what makes the two modes bit-identical.
 
@@ -22,25 +22,37 @@ use std::fmt;
 use std::time::Duration;
 
 use spasm_check::{CheckMode, CheckViolation, EngineChecker};
-use spasm_desim::{CoroCtx, CoroPool, EventQueue, SimTime};
+use spasm_desim::{CoroCtx, CoroPool, EventQueue, ProcFuture, SimTime};
 use spasm_topology::{Topology, TopologyError};
 
 use crate::addr::UnallocatedAddress;
 use crate::faults::{FaultCounters, FaultInjector, RunBudget};
 use crate::fxhash::FxHashMap;
 use crate::models::{MachineConfig, MachineKind, Model, ModelSummary};
-use crate::ops::{MemReq, MemResp, Pred, RmwOp};
+use crate::ops::{MemCtx, MemReq, MemResp, Pred, RmwOp};
 use crate::stats::{Buckets, ProcStats};
 use crate::telemetry::{Collector, IntervalRecord, Snapshot};
 use crate::{Addr, AddressMap, SetupCtx, ValueStore};
 
 use optimistic::SpecState;
 
-/// One simulated processor's program.
-pub type ProcBody = Box<dyn FnOnce(usize, &CoroCtx<MemReq, MemResp>) + Send + 'static>;
+/// One simulated processor's program: given the processor's id and its
+/// coroutine context, builds the `async` body the engine polls (see
+/// [`spasm_desim::CoroPool`]).
+pub type ProcBody = Box<dyn FnOnce(usize, CoroCtx<MemReq, MemResp>) -> ProcFuture + Send + 'static>;
+
+/// Builds a [`ProcBody`] from an `async` closure, which receives the
+/// processor's id and its [`MemCtx`]; the closure's future is what the
+/// engine polls, one simulated operation per `.await`.
+pub fn proc_body<F>(body: F) -> ProcBody
+where
+    F: AsyncFnOnce(usize, MemCtx<'_>) + Send + 'static,
+{
+    Box::new(move |id, ctx| Box::pin(async move { body(id, MemCtx::new(&ctx)).await }))
+}
 
 /// Produces a fresh copy of processor `proc`'s body, for optimistic
-/// rollback (the engine kills a mis-speculated coroutine and replays a
+/// rollback (the engine drops a mis-speculated coroutine and replays a
 /// fresh instance through committed history). Must be deterministic: two
 /// bodies from the same factory must issue identical request sequences
 /// given identical response sequences.
@@ -130,7 +142,7 @@ pub enum RunError {
     /// A cancellation probe (see [`Engine::set_cancel_probe`]) asked the
     /// run to stop. No state from uncommitted (speculative) history
     /// survives: the report is never produced and speculative coroutines
-    /// are torn down with the engine.
+    /// are dropped with the engine.
     Cancelled {
         /// Simulated time when the cancellation was observed.
         at: SimTime,
@@ -225,7 +237,7 @@ pub struct SpecStats {
     pub spec_resumes: u64,
     /// Speculative deliveries whose prediction the commit confirmed.
     pub spec_hits: u64,
-    /// Mispredictions rolled back (kill + respawn + replay).
+    /// Mispredictions rolled back (drop + rebuild + replay).
     pub rollbacks: u64,
     /// Anti-messages that annihilated a mis-speculated execution
     /// (equals `rollbacks` unless an anti-message-loss fault is forged).
@@ -433,18 +445,8 @@ impl Engine {
         assert_eq!(bodies.len(), p, "one body per processor");
         assert_eq!(setup.nodes(), p, "setup sized for a different machine");
         let (amap, store) = setup.into_parts();
-        let wrapped: Vec<_> = bodies
-            .into_iter()
-            .enumerate()
-            .map(|(id, body)| {
-                move |proc: usize, ctx: &CoroCtx<MemReq, MemResp>| {
-                    debug_assert_eq!(proc, id);
-                    body(proc, ctx)
-                }
-            })
-            .collect();
         Engine {
-            pool: CoroPool::from_bodies(wrapped),
+            pool: CoroPool::from_bodies(bodies),
             model: Model::new(kind, topo, config),
             amap,
             store,

@@ -1,21 +1,21 @@
-//! Optimistic (Time Warp) intra-run parallelism.
+//! Optimistic (Time Warp) intra-run speculation.
 //!
-//! The sequential engine alternates between the engine thread and one
-//! application coroutine per event: resume, wait for the request, pop
+//! The sequential engine alternates strictly between the event loop and
+//! one application coroutine per event: resume, take the request, pop
 //! the next event. This layer breaks that lockstep. When a commit is
 //! *scheduled* (not yet popped), the engine predicts the response the
-//! commit will deliver and, if a prediction exists, sends it to the
-//! processor immediately via an asynchronous resume. The coroutine runs
-//! speculatively — past the global virtual-time horizon — while the
-//! engine keeps draining events; its next request is collected only when
-//! its commit actually pops.
+//! commit will deliver and, if a prediction exists, polls the processor
+//! with it immediately. The coroutine runs speculatively — past the
+//! global virtual-time horizon — and the step it produced (its next
+//! request, completion or panic) is stashed; the engine consumes it only
+//! when the commit actually pops.
 //!
 //! **Nothing engine-side is speculative.** The model, store, stats,
 //! queue, fault stream, checkers, and telemetry all mutate exactly when
 //! the sequential engine would mutate them, in committed pop order. The
 //! only thing that runs early is application code, and application code
-//! interacts with the world *only* through its request/response
-//! rendezvous. That is the whole equivalence argument, and
+//! interacts with the world *only* through its request/response slot.
+//! That is the whole equivalence argument, and
 //! `tests/optimistic_equivalence.rs` holds it to byte-identical reports.
 //!
 //! Predictions come in two classes:
@@ -25,15 +25,15 @@
 //! * **inexact** — `Read`/`Rmw` predicted from the store's value at
 //!   schedule time. A conflicting write committed in between makes the
 //!   prediction stale; the commit then refutes it, and the processor is
-//!   rolled back: its coroutine is killed (the anti-message), a fresh
-//!   body from the [`super::BodyFactory`] is respawned, and the
-//!   processor's *committed* response history is replayed through it.
-//!   Replay drives the coroutine directly — no dispatches, no fault
-//!   draws, no checker events — so it is invisible to committed state
-//!   (strict check mode audits this with a model state-hash).
+//!   rolled back: its coroutine is dropped (the anti-message), a fresh
+//!   body from the [`super::BodyFactory`] is built, and the processor's
+//!   *committed* response history is replayed through it. Replay drives
+//!   the coroutine directly — no dispatches, no fault draws, no checker
+//!   events — so it is invisible to committed state (strict check mode
+//!   audits this with a model state-hash).
 //!
 //! In classic Time Warp terms: the commit horizon is the GVT (it is
-//! continuous here — state commits at every pop, not in batches), kills
+//! continuous here — state commits at every pop, not in batches), drops
 //! are anti-messages, and the [`SpecLedger`] proves every anti-message
 //! annihilated exactly one mis-speculation. The [`EpochClock`] marks GVT
 //! epochs in committed-event strides; fossil collection (reclaiming
@@ -59,19 +59,22 @@ const ROLLBACK_FUSE: u32 = 8;
 
 /// Committed events per processor beyond which inexact speculation is
 /// no longer worth its downside: a rollback replays the *entire*
-/// committed history through a respawned body, so late in a long run a
-/// single misprediction costs more rendezvous than value speculation
-/// can ever recoup. Exact (ack-class) speculation continues regardless
+/// committed history through a rebuilt body, so late in a long run a
+/// single misprediction costs more polls than value speculation can
+/// ever recoup. Exact (ack-class) speculation continues regardless
 /// — it cannot mispredict.
 const REPLAY_HORIZON: usize = 512;
 
 /// A speculatively delivered response awaiting its commit's verdict.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 struct Speculation {
     predicted: MemResp,
     /// For inexact predictions, the address the value was sampled from
     /// (drives the per-address throttle on refutation).
     addr: Option<Addr>,
+    /// What the processor did with the predicted response; consumed in
+    /// committed order if the commit confirms the prediction.
+    step: Step<MemReq>,
 }
 
 /// Per-processor speculation bookkeeping.
@@ -150,7 +153,7 @@ impl Engine {
     }
 
     /// Called when a commit is scheduled: predict its response and, if
-    /// possible, deliver it to the processor ahead of the commit.
+    /// possible, poll the processor with it ahead of the commit.
     pub(super) fn consider_speculation(&mut self, proc: usize, action: Action) {
         // Inexact predictions read the store *now*; done before borrowing
         // the spec state so the borrows stay disjoint.
@@ -183,19 +186,22 @@ impl Engine {
             // resuming it, so its response is never predicted.
             Action::Check(..) => return,
         };
-        spec.procs[proc].pending = Some(Speculation { predicted, addr });
         spec.outstanding += 1;
         spec.stats.spec_resumes += 1;
         if let Some(ledger) = &mut spec.ledger {
             ledger.on_speculate(proc, now);
         }
-        self.pool.resume_async(proc, predicted);
+        let step = self.pool.resume(proc, predicted);
+        self.spec.as_mut().expect("optimistic mode").procs[proc].pending = Some(Speculation {
+            predicted,
+            addr,
+            step,
+        });
     }
 
     /// Delivers a committed response to a processor that may already
-    /// hold a speculative one: confirm (collect the request the
-    /// speculative execution already produced) or refute (roll back,
-    /// then redeliver synchronously).
+    /// hold a speculative one: confirm (consume the step the speculative
+    /// execution already produced) or refute (roll back, then redeliver).
     pub(super) fn commit_speculative(
         &mut self,
         proc: usize,
@@ -212,8 +218,7 @@ impl Engine {
                 ledger.on_commit(proc);
             }
             self.record_resp(proc, resp);
-            let step = self.pool.collect(proc);
-            self.handle_step(proc, step)
+            self.handle_step(proc, speculation.step)
         } else {
             if let Some(a) = speculation.addr {
                 spec.hot.insert(a);
@@ -223,12 +228,12 @@ impl Engine {
         }
     }
 
-    /// Cancels a mis-speculated execution (anti-message), respawns a
+    /// Cancels a mis-speculated execution (anti-message), rebuilds a
     /// fresh body, and replays the processor's committed history so it
-    /// blocks exactly where it blocked before the bad delivery.
+    /// is suspended exactly where it was before the bad delivery.
     fn rollback(&mut self, proc: usize) -> Result<(), RunError> {
         // A cancellation observed mid-rollback aborts before the replay
-        // commits anything — the respawned coroutine dies with the pool.
+        // commits anything — the rebuilt coroutine drops with the pool.
         if self.poll_cancelled() {
             return Err(RunError::Cancelled {
                 at: self.now,
@@ -266,14 +271,7 @@ impl Engine {
             .body_factory
             .as_ref()
             .expect("inexact speculation requires a body factory");
-        let body = factory(proc);
-        self.pool.respawn(
-            proc,
-            move |p, ctx: &spasm_desim::CoroCtx<MemReq, MemResp>| {
-                debug_assert_eq!(p, proc);
-                body(p, ctx)
-            },
-        );
+        self.pool.respawn(proc, factory(proc));
         // Replay committed history through the fresh body. Direct pool
         // resumes: no events, no fault draws, no checker — committed
         // state cannot observe the replay.

@@ -12,9 +12,10 @@
 //!
 //! ## Execution-driven engine
 //!
-//! Application code runs as real Rust closures, one per simulated processor
-//! (see `spasm-desim`'s coroutine pool). Every shared-memory operation
-//! ([`MemReq`]) traps into the [`Engine`], which prices it on the selected
+//! Application code runs as real Rust `async` bodies, one per simulated
+//! processor (see `spasm-desim`'s coroutine pool). Every shared-memory
+//! operation ([`MemReq`]) is an `.await` that suspends the processor and
+//! hands the request to the [`Engine`], which prices it on the selected
 //! machine model and resumes the processor at the operation's completion
 //! time. Values live in a [`ValueStore`] and commit at completion time, so
 //! data-dependent control flow (sparse structures, dynamic task queues)
@@ -31,7 +32,7 @@
 //! # Example
 //!
 //! ```
-//! use spasm_machine::{Engine, MachineKind, MemCtx, ProcBody, SetupCtx};
+//! use spasm_machine::{proc_body, Engine, MachineKind, ProcBody, SetupCtx};
 //! use spasm_topology::Topology;
 //!
 //! // One word at home node 0, incremented by both processors under a lock.
@@ -41,14 +42,12 @@
 //!
 //! let bodies: Vec<ProcBody> = (0..2)
 //!     .map(|_| {
-//!         let body: ProcBody = Box::new(move |_, ctx| {
-//!             let mem = MemCtx::new(ctx);
-//!             spasm_machine::sync::lock(&mem, lock);
-//!             let v = mem.read(counter);
-//!             mem.write(counter, v + 1);
-//!             spasm_machine::sync::unlock(&mem, lock);
-//!         });
-//!         body
+//!         proc_body(async move |_, mem| {
+//!             spasm_machine::sync::lock(&mem, lock).await;
+//!             let v = mem.read(counter).await;
+//!             mem.write(counter, v + 1).await;
+//!             spasm_machine::sync::unlock(&mem, lock).await;
+//!         })
 //!     })
 //!     .collect();
 //!
@@ -76,7 +75,8 @@ mod telemetry;
 
 pub use addr::{Addr, AddressMap, UnallocatedAddress, BLOCK_BYTES, WORD_BYTES};
 pub use engine::{
-    BodyFactory, CancelProbe, Engine, EngineMode, ProcBody, RunError, RunReport, SpecStats,
+    proc_body, BodyFactory, CancelProbe, Engine, EngineMode, ProcBody, RunError, RunReport,
+    SpecStats,
 };
 pub use faults::{FaultCounters, FaultPlan, RunBudget};
 pub use models::{MachineConfig, MachineKind, Model};

@@ -132,11 +132,14 @@ impl MemResp {
     }
 }
 
-/// Typed convenience wrapper around the raw coroutine channel.
+/// Typed convenience wrapper around the raw coroutine context.
 ///
-/// Application kernels receive a `&CoroCtx` and wrap it in a `MemCtx` to
-/// get ergonomic `read`/`write`/`compute`/... methods. The wrapper is free:
-/// it owns nothing and adds no simulation semantics.
+/// Application kernels get one from [`crate::proc_body`] (which wraps the
+/// processor's [`CoroCtx`]) and use its `read`/`write`/`compute`/...
+/// methods. Each method is an `async fn` whose `.await` is one simulated
+/// operation: the processor suspends there until the engine commits the
+/// operation. The wrapper is free: it owns nothing and adds no simulation
+/// semantics.
 #[derive(Debug, Clone, Copy)]
 pub struct MemCtx<'a> {
     ctx: &'a CoroCtx<MemReq, MemResp>,
@@ -154,89 +157,83 @@ impl<'a> MemCtx<'a> {
     }
 
     /// Charges `cycles` cycles of local computation.
-    pub fn compute(&self, cycles: u64) {
+    pub async fn compute(&self, cycles: u64) {
         if cycles == 0 {
             return;
         }
-        self.ctx.call(MemReq::Compute { cycles });
+        self.ctx.call(MemReq::Compute { cycles }).await;
     }
 
     /// Loads the word at `addr`.
-    pub fn read(&self, addr: Addr) -> u64 {
-        self.ctx.call(MemReq::Read { addr }).value()
+    pub async fn read(&self, addr: Addr) -> u64 {
+        self.ctx.call(MemReq::Read { addr }).await.value()
     }
 
     /// Stores `value` at `addr`.
-    pub fn write(&self, addr: Addr, value: u64) {
-        self.ctx.call(MemReq::Write { addr, value });
+    pub async fn write(&self, addr: Addr, value: u64) {
+        self.ctx.call(MemReq::Write { addr, value }).await;
     }
 
     /// Loads the word at `addr` as an `f64`.
-    pub fn read_f64(&self, addr: Addr) -> f64 {
-        f64::from_bits(self.read(addr))
+    pub async fn read_f64(&self, addr: Addr) -> f64 {
+        f64::from_bits(self.read(addr).await)
     }
 
     /// Stores `value` at `addr` as its bit pattern.
-    pub fn write_f64(&self, addr: Addr, value: f64) {
-        self.write(addr, value.to_bits());
+    pub async fn write_f64(&self, addr: Addr, value: f64) {
+        self.write(addr, value.to_bits()).await;
     }
 
     /// Atomic test-and-set; returns the old value.
-    pub fn test_and_set(&self, addr: Addr) -> u64 {
-        self.ctx
-            .call(MemReq::Rmw {
-                addr,
-                op: RmwOp::TestAndSet,
-            })
-            .value()
+    pub async fn test_and_set(&self, addr: Addr) -> u64 {
+        self.rmw(addr, RmwOp::TestAndSet).await
     }
 
     /// Atomic fetch-and-add; returns the old value.
-    pub fn fetch_add(&self, addr: Addr, n: u64) -> u64 {
-        self.ctx
-            .call(MemReq::Rmw {
-                addr,
-                op: RmwOp::FetchAdd(n),
-            })
-            .value()
+    pub async fn fetch_add(&self, addr: Addr, n: u64) -> u64 {
+        self.rmw(addr, RmwOp::FetchAdd(n)).await
     }
 
     /// Atomic swap; returns the old value.
-    pub fn swap(&self, addr: Addr, value: u64) -> u64 {
-        self.ctx
-            .call(MemReq::Rmw {
-                addr,
-                op: RmwOp::Swap(value),
-            })
-            .value()
+    pub async fn swap(&self, addr: Addr, value: u64) -> u64 {
+        self.rmw(addr, RmwOp::Swap(value)).await
+    }
+
+    async fn rmw(&self, addr: Addr, op: RmwOp) -> u64 {
+        self.ctx.call(MemReq::Rmw { addr, op }).await.value()
     }
 
     /// Spins until the word at `addr` satisfies `pred`; returns the
     /// satisfying value.
-    pub fn wait_until(&self, addr: Addr, pred: Pred) -> u64 {
-        self.ctx.call(MemReq::WaitUntil { addr, pred }).value()
+    pub async fn wait_until(&self, addr: Addr, pred: Pred) -> u64 {
+        self.ctx
+            .call(MemReq::WaitUntil { addr, pred })
+            .await
+            .value()
     }
 
     /// Sends one word of payload to `dst` in a `bytes`-byte message with
-    /// the given `tag`; blocks until the message is injected.
+    /// the given `tag`; suspends until the message is injected.
     ///
     /// # Panics
     ///
     /// The engine rejects `bytes` outside `1..=32` (the paper's message
     /// size limit) or a destination out of range.
-    pub fn send(&self, dst: usize, bytes: u64, tag: u64, value: u64) {
-        self.ctx.call(MemReq::Send {
-            dst,
-            bytes,
-            tag,
-            value,
-        });
+    pub async fn send(&self, dst: usize, bytes: u64, tag: u64, value: u64) {
+        self.ctx
+            .call(MemReq::Send {
+                dst,
+                bytes,
+                tag,
+                value,
+            })
+            .await;
     }
 
-    /// Receives the oldest arrived message with `tag`, blocking until one
-    /// is available. Returns its payload.
-    pub fn recv(&self, tag: u64) -> u64 {
-        self.ctx.call(MemReq::Recv { tag }).value()
+    /// Receives the oldest arrived message with `tag`, suspending until
+    /// one is available. Returns its payload.
+    pub async fn recv(&self, tag: u64) -> u64 {
+        self.ctx.call(MemReq::Recv { tag }).await.value()
     }
 }
 

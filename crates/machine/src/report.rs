@@ -105,7 +105,7 @@ impl RunReport {
 
 #[cfg(test)]
 mod tests {
-    use crate::{Engine, MachineKind, MemCtx, ProcBody, SetupCtx};
+    use crate::{proc_body, Engine, MachineKind, ProcBody, SetupCtx};
     use spasm_topology::Topology;
 
     fn demo_report() -> crate::RunReport {
@@ -113,13 +113,12 @@ mod tests {
         let mut setup = SetupCtx::new(2);
         let a = setup.alloc(1, 4);
         let bodies: Vec<ProcBody> = vec![
-            Box::new(move |_, ctx| {
-                let mem = MemCtx::new(ctx);
-                mem.compute(100);
-                mem.read(a);
+            proc_body(async move |_, mem| {
+                mem.compute(100).await;
+                mem.read(a).await;
             }),
-            Box::new(|_, ctx| {
-                MemCtx::new(ctx).compute(10);
+            proc_body(async move |_, mem| {
+                mem.compute(10).await;
             }),
         ];
         Engine::new(MachineKind::Target, &topo, setup, bodies)

@@ -16,10 +16,10 @@ use crate::{Addr, MemCtx, Pred, SetupCtx};
 /// Spins (in-cache where the machine has caches) until the lock word reads
 /// free, then attempts the atomic test-and-set; on failure, resumes
 /// spinning.
-pub fn lock(mem: &MemCtx<'_>, lock: Addr) {
+pub async fn lock(mem: &MemCtx<'_>, lock: Addr) {
     loop {
-        mem.wait_until(lock, Pred::Eq(0));
-        if mem.test_and_set(lock) == 0 {
+        mem.wait_until(lock, Pred::Eq(0)).await;
+        if mem.test_and_set(lock).await == 0 {
             return;
         }
     }
@@ -29,8 +29,8 @@ pub fn lock(mem: &MemCtx<'_>, lock: Addr) {
 ///
 /// The releasing store invalidates the spinners' cached copies, waking
 /// them to re-read and re-contend.
-pub fn unlock(mem: &MemCtx<'_>, lock: Addr) {
-    mem.write(lock, 0);
+pub async fn unlock(mem: &MemCtx<'_>, lock: Addr) {
+    mem.write(lock, 0).await;
 }
 
 /// A centralized sense-reversing barrier.
@@ -78,15 +78,15 @@ pub struct BarrierHandle {
 
 impl BarrierHandle {
     /// Waits until all `p` processors have arrived.
-    pub fn wait(&mut self, mem: &MemCtx<'_>) {
+    pub async fn wait(&mut self, mem: &MemCtx<'_>) {
         self.episode += 1;
         let b = self.barrier;
-        let arrived = mem.fetch_add(b.count, 1) + 1;
+        let arrived = mem.fetch_add(b.count, 1).await + 1;
         if arrived == b.p {
-            mem.write(b.count, 0);
-            mem.write(b.sense, self.episode);
+            mem.write(b.count, 0).await;
+            mem.write(b.sense, self.episode).await;
         } else {
-            mem.wait_until(b.sense, Pred::Ge(self.episode));
+            mem.wait_until(b.sense, Pred::Ge(self.episode)).await;
         }
     }
 }
@@ -114,14 +114,14 @@ impl CondFlag {
     /// # Panics
     ///
     /// Panics if `value` is zero (would not release waiters).
-    pub fn signal(&self, mem: &MemCtx<'_>, value: u64) {
+    pub async fn signal(&self, mem: &MemCtx<'_>, value: u64) {
         assert!(value != 0, "signal value must be nonzero");
-        mem.write(self.flag, value);
+        mem.write(self.flag, value).await;
     }
 
     /// Spins until the flag is signalled; returns the signalled value.
-    pub fn wait(&self, mem: &MemCtx<'_>) -> u64 {
-        mem.wait_until(self.flag, Pred::Ne(0))
+    pub async fn wait(&self, mem: &MemCtx<'_>) -> u64 {
+        mem.wait_until(self.flag, Pred::Ne(0)).await
     }
 }
 

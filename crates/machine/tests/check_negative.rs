@@ -6,7 +6,7 @@
 //! faulted-but-internally-consistent run is exactly what it certifies.
 
 use spasm_machine::{
-    CheckMode, Engine, FaultPlan, MachineConfig, MachineKind, MemCtx, Pred, ProcBody, RunError,
+    proc_body, CheckMode, Engine, FaultPlan, MachineConfig, MachineKind, Pred, ProcBody, RunError,
     SetupCtx,
 };
 use spasm_topology::Topology;
@@ -18,11 +18,11 @@ fn msgpass_workload() -> (Topology, SetupCtx, Vec<ProcBody>) {
     let topo = Topology::full(2);
     let setup = SetupCtx::new(2);
     let bodies: Vec<ProcBody> = vec![
-        Box::new(|_, ctx| {
-            MemCtx::new(ctx).send(1, 8, 42, 1234);
+        proc_body(async move |_, mem| {
+            mem.send(1, 8, 42, 1234).await;
         }),
-        Box::new(|_, ctx| {
-            assert_eq!(MemCtx::new(ctx).recv(42), 1234);
+        proc_body(async move |_, mem| {
+            assert_eq!(mem.recv(42).await, 1234);
         }),
     ];
     (topo, setup, bodies)
@@ -36,15 +36,13 @@ fn shmem_workload() -> (Topology, SetupCtx, Vec<ProcBody>) {
     let counter = setup.alloc(0, 1);
     let flag = setup.alloc(1, 1);
     let bodies: Vec<ProcBody> = vec![
-        Box::new(move |_, ctx| {
-            let mem = MemCtx::new(ctx);
-            mem.wait_until(flag, Pred::Eq(1));
-            assert_eq!(mem.read(counter), 7);
+        proc_body(async move |_, mem| {
+            mem.wait_until(flag, Pred::Eq(1)).await;
+            assert_eq!(mem.read(counter).await, 7);
         }),
-        Box::new(move |_, ctx| {
-            let mem = MemCtx::new(ctx);
-            mem.write(counter, 7);
-            mem.write(flag, 1);
+        proc_body(async move |_, mem| {
+            mem.write(counter, 7).await;
+            mem.write(flag, 1).await;
         }),
     ];
     (topo, setup, bodies)
@@ -162,14 +160,12 @@ fn speculative_engine(plan: FaultPlan, mode: CheckMode) -> Engine {
     fn bodies(counter: spasm_machine::Addr) -> Vec<ProcBody> {
         (0..2)
             .map(|_| {
-                let b: ProcBody = Box::new(move |_, ctx| {
-                    let mem = MemCtx::new(ctx);
+                proc_body(async move |_, mem| {
                     for _ in 0..30 {
-                        mem.fetch_add(counter, 1);
-                        mem.compute(5);
+                        mem.fetch_add(counter, 1).await;
+                        mem.compute(5).await;
                     }
-                });
-                b
+                })
             })
             .collect()
     }

@@ -2,7 +2,7 @@
 
 use spasm_desim::SimTime;
 use spasm_machine::{
-    sync, Engine, MachineKind, MemCtx, Pred, ProcBody, RunError, RunReport, SetupCtx,
+    proc_body, sync, Engine, MachineKind, Pred, ProcBody, RunError, RunReport, SetupCtx,
 };
 use spasm_topology::Topology;
 
@@ -22,8 +22,8 @@ fn single_processor_compute_only() {
     for kind in ALL_MACHINES {
         let topo = Topology::full(1);
         let setup = SetupCtx::new(1);
-        let bodies: Vec<ProcBody> = vec![Box::new(|_, ctx| {
-            MemCtx::new(ctx).compute(100);
+        let bodies: Vec<ProcBody> = vec![proc_body(async move |_, mem| {
+            mem.compute(100).await;
         })];
         let r = run(kind, &topo, setup, bodies);
         assert_eq!(r.exec_time, SimTime::from_ns(3000), "{kind}");
@@ -40,12 +40,11 @@ fn read_write_roundtrip_on_all_machines() {
         let a = setup.alloc_init(1, &[7]);
         let out = setup.alloc(0, 1);
         let bodies: Vec<ProcBody> = vec![
-            Box::new(move |_, ctx| {
-                let mem = MemCtx::new(ctx);
-                let v = mem.read(a);
-                mem.write(out, v * 2);
+            proc_body(async move |_, mem| {
+                let v = mem.read(a).await;
+                mem.write(out, v * 2).await;
             }),
-            Box::new(|_, _| {}),
+            proc_body(async |_, _| {}),
         ];
         let r = run(kind, &topo, setup, bodies);
         assert_eq!(r.final_store.read_word(out), 14, "{kind}");
@@ -62,17 +61,15 @@ fn lock_protected_counter_is_atomic_on_all_machines() {
         let lock = setup.alloc(0, 1);
         let bodies: Vec<ProcBody> = (0..p)
             .map(|_| {
-                let b: ProcBody = Box::new(move |_, ctx| {
-                    let mem = MemCtx::new(ctx);
+                proc_body(async move |_, mem| {
                     for _ in 0..5 {
-                        sync::lock(&mem, lock);
-                        let v = mem.read(counter);
-                        mem.compute(10);
-                        mem.write(counter, v + 1);
-                        sync::unlock(&mem, lock);
+                        sync::lock(&mem, lock).await;
+                        let v = mem.read(counter).await;
+                        mem.compute(10).await;
+                        mem.write(counter, v + 1).await;
+                        sync::unlock(&mem, lock).await;
                     }
-                });
-                b
+                })
             })
             .collect();
         let r = run(kind, &topo, setup, bodies);
@@ -91,19 +88,19 @@ fn barrier_rendezvous_on_all_machines() {
         let check = setup.alloc(0, p as u64);
         let bodies: Vec<ProcBody> = (0..p)
             .map(|i| {
-                let b: ProcBody = Box::new(move |me, ctx| {
-                    let mem = MemCtx::new(ctx);
+                let b = proc_body(async move |me, mem| {
                     let mut bar = barrier.handle();
                     // Phase 1: everyone writes their slot (staggered work).
-                    mem.compute(10 * (me as u64 + 1));
-                    mem.write(slots.offset_words(me as u64), me as u64 + 100);
-                    bar.wait(&mem);
+                    mem.compute(10 * (me as u64 + 1)).await;
+                    mem.write(slots.offset_words(me as u64), me as u64 + 100)
+                        .await;
+                    bar.wait(&mem).await;
                     // Phase 2: everyone reads the *next* processor's slot,
                     // which is only safe if the barrier held.
                     let next = (me + 1) % 4;
-                    let v = mem.read(slots.offset_words(next as u64));
-                    mem.write(check.offset_words(me as u64), v);
-                    bar.wait(&mem);
+                    let v = mem.read(slots.offset_words(next as u64)).await;
+                    mem.write(check.offset_words(me as u64), v).await;
+                    bar.wait(&mem).await;
                 });
                 debug_assert!(i < p);
                 b
@@ -131,15 +128,14 @@ fn condition_flag_signalling() {
         let seen = setup.alloc(0, p as u64);
         let bodies: Vec<ProcBody> = (0..p)
             .map(|i| {
-                let b: ProcBody = Box::new(move |me, ctx| {
-                    let mem = MemCtx::new(ctx);
+                let b = proc_body(async move |me, mem| {
                     if me == 0 {
-                        mem.compute(1000); // make waiters actually wait
-                        flag.signal(&mem, 42);
-                        mem.write(seen.offset_words(0), 42);
+                        mem.compute(1000).await; // make waiters actually wait
+                        flag.signal(&mem, 42).await;
+                        mem.write(seen.offset_words(0), 42).await;
                     } else {
-                        let v = flag.wait(&mem);
-                        mem.write(seen.offset_words(me as u64), v);
+                        let v = flag.wait(&mem).await;
+                        mem.write(seen.offset_words(me as u64), v).await;
                     }
                 });
                 debug_assert!(i < p);
@@ -159,13 +155,12 @@ fn waiters_accumulate_sync_time() {
     let mut setup = SetupCtx::new(2);
     let flag = sync::CondFlag::alloc(&mut setup, 0);
     let bodies: Vec<ProcBody> = vec![
-        Box::new(move |_, ctx| {
-            let mem = MemCtx::new(ctx);
-            mem.compute(100_000); // 3ms of work
-            flag.signal(&mem, 1);
+        proc_body(async move |_, mem| {
+            mem.compute(100_000).await; // 3ms of work
+            flag.signal(&mem, 1).await;
         }),
-        Box::new(move |_, ctx| {
-            flag.wait(&MemCtx::new(ctx));
+        proc_body(async move |_, mem| {
+            flag.wait(&mem).await;
         }),
     ];
     let r = run(MachineKind::Target, &topo, setup, bodies);
@@ -186,13 +181,12 @@ fn logp_spinning_generates_traffic_but_cached_machines_do_not() {
         let mut setup = SetupCtx::new(2);
         let flag = sync::CondFlag::alloc(&mut setup, 0);
         let bodies: Vec<ProcBody> = vec![
-            Box::new(move |_, ctx| {
-                let mem = MemCtx::new(ctx);
-                mem.compute(10_000);
-                flag.signal(&mem, 1);
+            proc_body(async move |_, mem| {
+                mem.compute(10_000).await;
+                flag.signal(&mem, 1).await;
             }),
-            Box::new(move |_, ctx| {
-                flag.wait(&MemCtx::new(ctx));
+            proc_body(async move |_, mem| {
+                flag.wait(&mem).await;
             }),
         ];
         let r = run(kind, &topo, setup, bodies);
@@ -217,15 +211,14 @@ fn spatial_locality_clogp_fetches_once_logp_four_times() {
         let data = setup.alloc_init(1, &[1, 2, 3, 4]);
         let out = setup.alloc(0, 1);
         let bodies: Vec<ProcBody> = vec![
-            Box::new(move |_, ctx| {
-                let mem = MemCtx::new(ctx);
+            proc_body(async move |_, mem| {
                 let mut sum = 0;
                 for w in 0..4 {
-                    sum += mem.read(data.offset_words(w));
+                    sum += mem.read(data.offset_words(w)).await;
                 }
-                mem.write(out, sum);
+                mem.write(out, sum).await;
             }),
-            Box::new(|_, _| {}),
+            proc_body(async |_, _| {}),
         ];
         let r = run(kind, &topo, setup, bodies);
         assert_eq!(r.final_store.read_word(out), 10, "{kind}");
@@ -249,15 +242,13 @@ fn determinism_identical_runs_identical_reports() {
             let lock = setup.alloc(0, 1);
             let bodies: Vec<ProcBody> = (0..p)
                 .map(|_| {
-                    let b: ProcBody = Box::new(move |me, ctx| {
-                        let mem = MemCtx::new(ctx);
-                        mem.compute(me as u64 * 13 + 5);
-                        sync::lock(&mem, lock);
-                        let v = mem.read(counter);
-                        mem.write(counter, v + me as u64);
-                        sync::unlock(&mem, lock);
-                    });
-                    b
+                    proc_body(async move |me, mem| {
+                        mem.compute(me as u64 * 13 + 5).await;
+                        sync::lock(&mem, lock).await;
+                        let v = mem.read(counter).await;
+                        mem.write(counter, v + me as u64).await;
+                        sync::unlock(&mem, lock).await;
+                    })
                 })
                 .collect();
             run(kind, &topo, setup, bodies)
@@ -279,7 +270,7 @@ fn determinism_identical_runs_identical_reports() {
 fn panicking_body_reports_error() {
     let topo = Topology::full(1);
     let setup = SetupCtx::new(1);
-    let bodies: Vec<ProcBody> = vec![Box::new(|_, _| panic!("app bug"))];
+    let bodies: Vec<ProcBody> = vec![proc_body(async |_, _| panic!("app bug"))];
     match Engine::new(MachineKind::Pram, &topo, setup, bodies).run() {
         Err(RunError::Panicked { proc: 0, message }) => assert!(message.contains("app bug")),
         other => panic!("{other:?}"),
@@ -292,9 +283,9 @@ fn lost_wakeup_detected_as_deadlock() {
     let mut setup = SetupCtx::new(2);
     let flag = setup.alloc(0, 1);
     let bodies: Vec<ProcBody> = vec![
-        Box::new(|_, _| {}), // never signals
-        Box::new(move |_, ctx| {
-            MemCtx::new(ctx).wait_until(flag, Pred::Eq(1));
+        proc_body(async |_, _| {}), // never signals
+        proc_body(async move |_, mem| {
+            mem.wait_until(flag, Pred::Eq(1)).await;
         }),
     ];
     match Engine::new(MachineKind::Target, &topo, setup, bodies).run() {
@@ -314,17 +305,15 @@ fn exec_time_orders_pram_fastest() {
         let data = setup.alloc(0, 64);
         let bodies: Vec<ProcBody> = (0..p)
             .map(|_| {
-                let b: ProcBody = Box::new(move |me, ctx| {
-                    let mem = MemCtx::new(ctx);
+                proc_body(async move |me, mem| {
                     for i in 0..16u64 {
-                        let v = mem.read(data.offset_words(i));
-                        mem.compute(5);
+                        let v = mem.read(data.offset_words(i)).await;
+                        mem.compute(5).await;
                         if me == 0 {
-                            mem.write(data.offset_words(48 + i), v + 1);
+                            mem.write(data.offset_words(48 + i), v + 1).await;
                         }
                     }
-                });
-                b
+                })
             })
             .collect();
         times.insert(kind.to_string(), run(kind, &topo, setup, bodies).exec_time);
@@ -341,14 +330,13 @@ fn rmw_swap_and_fetch_add() {
     let a = setup.alloc_init(1, &[5]);
     let out = setup.alloc(0, 2);
     let bodies: Vec<ProcBody> = vec![
-        Box::new(move |_, ctx| {
-            let mem = MemCtx::new(ctx);
-            let old = mem.fetch_add(a, 10);
-            mem.write(out, old);
-            let old2 = mem.swap(a, 99);
-            mem.write(out.offset_words(1), old2);
+        proc_body(async move |_, mem| {
+            let old = mem.fetch_add(a, 10).await;
+            mem.write(out, old).await;
+            let old2 = mem.swap(a, 99).await;
+            mem.write(out.offset_words(1), old2).await;
         }),
-        Box::new(|_, _| {}),
+        proc_body(async |_, _| {}),
     ];
     let r = run(MachineKind::Target, &topo, setup, bodies);
     assert_eq!(r.final_store.read_word(out), 5);
@@ -363,12 +351,11 @@ fn f64_values_survive_simulation() {
     let x = setup.alloc_init_f64(1, &[2.5]);
     let y = setup.alloc(0, 1);
     let bodies: Vec<ProcBody> = vec![
-        Box::new(move |_, ctx| {
-            let mem = MemCtx::new(ctx);
-            let v = mem.read_f64(x);
-            mem.write_f64(y, v * v);
+        proc_body(async move |_, mem| {
+            let v = mem.read_f64(x).await;
+            mem.write_f64(y, v * v).await;
         }),
-        Box::new(|_, _| {}),
+        proc_body(async |_, _| {}),
     ];
     let r = run(MachineKind::CLogP, &topo, setup, bodies);
     assert_eq!(r.final_store.read_f64(y), 6.25);
@@ -380,10 +367,10 @@ fn report_metric_helpers() {
     let mut setup = SetupCtx::new(2);
     let a = setup.alloc(1, 1);
     let bodies: Vec<ProcBody> = vec![
-        Box::new(move |_, ctx| {
-            MemCtx::new(ctx).read(a);
+        proc_body(async move |_, mem| {
+            mem.read(a).await;
         }),
-        Box::new(|_, _| {}),
+        proc_body(async |_, _| {}),
     ];
     let r = run(MachineKind::LogP, &topo, setup, bodies);
     assert_eq!(r.procs(), 2);

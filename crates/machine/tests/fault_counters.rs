@@ -5,7 +5,7 @@
 //! of injection sites the workload exposes, no more, no fewer.
 
 use spasm_machine::{
-    Engine, FaultPlan, MachineConfig, MachineKind, MemCtx, ProcBody, RunReport, SetupCtx,
+    proc_body, Engine, FaultPlan, MachineConfig, MachineKind, ProcBody, RunReport, SetupCtx,
 };
 use spasm_topology::Topology;
 
@@ -14,16 +14,14 @@ fn msgpass(sends: u64) -> (Topology, SetupCtx, Vec<ProcBody>) {
     let topo = Topology::full(2);
     let setup = SetupCtx::new(2);
     let bodies: Vec<ProcBody> = vec![
-        Box::new(move |_, ctx| {
-            let mem = MemCtx::new(ctx);
+        proc_body(async move |_, mem| {
             for tag in 0..sends {
-                mem.send(1, 8, tag, tag + 100);
+                mem.send(1, 8, tag, tag + 100).await;
             }
         }),
-        Box::new(move |_, ctx| {
-            let mem = MemCtx::new(ctx);
+        proc_body(async move |_, mem| {
             for tag in 0..sends {
-                assert_eq!(mem.recv(tag), tag + 100);
+                assert_eq!(mem.recv(tag).await, tag + 100);
             }
         }),
     ];
@@ -36,13 +34,12 @@ fn local_writes(writes: u64) -> (Topology, SetupCtx, Vec<ProcBody>) {
     let mut setup = SetupCtx::new(2);
     let words = setup.alloc(0, writes);
     let bodies: Vec<ProcBody> = vec![
-        Box::new(move |_, ctx| {
-            let mem = MemCtx::new(ctx);
+        proc_body(async move |_, mem| {
             for i in 0..writes {
-                mem.write(words.offset_words(i), i);
+                mem.write(words.offset_words(i), i).await;
             }
         }),
-        Box::new(|_, _| {}),
+        proc_body(async |_, _| {}),
     ];
     (topo, setup, bodies)
 }
@@ -56,13 +53,12 @@ fn remote_reads(reads: u64) -> (Topology, SetupCtx, Vec<ProcBody>) {
     let words_per_block = spasm_machine::BLOCK_BYTES / spasm_machine::WORD_BYTES;
     let base = setup.alloc(1, reads * words_per_block);
     let bodies: Vec<ProcBody> = vec![
-        Box::new(move |_, ctx| {
-            let mem = MemCtx::new(ctx);
+        proc_body(async move |_, mem| {
             for i in 0..reads {
-                mem.read(base.offset_words(i * words_per_block));
+                mem.read(base.offset_words(i * words_per_block)).await;
             }
         }),
-        Box::new(|_, _| {}),
+        proc_body(async |_, _| {}),
     ];
     (topo, setup, bodies)
 }

@@ -4,7 +4,7 @@
 
 use spasm_desim::SimTime;
 use spasm_machine::{
-    Engine, FaultPlan, MachineConfig, MachineKind, MemCtx, Pred, ProcBody, RunBudget, RunError,
+    proc_body, Engine, FaultPlan, MachineConfig, MachineKind, Pred, ProcBody, RunBudget, RunError,
     RunReport, SetupCtx,
 };
 use spasm_topology::Topology;
@@ -24,15 +24,13 @@ fn flag_workload() -> (Topology, SetupCtx, Vec<ProcBody>) {
     let counter = setup.alloc(0, 1);
     let flag = setup.alloc(1, 1);
     let bodies: Vec<ProcBody> = vec![
-        Box::new(move |_, ctx| {
-            let mem = MemCtx::new(ctx);
-            mem.wait_until(flag, Pred::Eq(1));
-            assert_eq!(mem.read(counter), 7);
+        proc_body(async move |_, mem| {
+            mem.wait_until(flag, Pred::Eq(1)).await;
+            assert_eq!(mem.read(counter).await, 7);
         }),
-        Box::new(move |_, ctx| {
-            let mem = MemCtx::new(ctx);
-            mem.write(counter, 7);
-            mem.write(flag, 1);
+        proc_body(async move |_, mem| {
+            mem.write(counter, 7).await;
+            mem.write(flag, 1).await;
         }),
     ];
     (topo, setup, bodies)
@@ -52,10 +50,10 @@ fn event_budget_converts_polling_livelock_into_typed_error() {
     let mut setup = SetupCtx::new(2);
     let flag = setup.alloc(0, 1);
     let bodies: Vec<ProcBody> = vec![
-        Box::new(move |_, ctx| {
-            MemCtx::new(ctx).wait_until(flag, Pred::Eq(1));
+        proc_body(async move |_, mem| {
+            mem.wait_until(flag, Pred::Eq(1)).await;
         }),
-        Box::new(|_, _| {}),
+        proc_body(async |_, _| {}),
     ];
     let config = MachineConfig {
         budget: RunBudget::events(10_000),
@@ -162,11 +160,11 @@ fn duplicated_messages_are_tolerated_by_fifo_mailboxes() {
     let topo = Topology::full(2);
     let setup = SetupCtx::new(2);
     let bodies: Vec<ProcBody> = vec![
-        Box::new(|_, ctx| {
-            MemCtx::new(ctx).send(1, 8, 42, 1234);
+        proc_body(async move |_, mem| {
+            mem.send(1, 8, 42, 1234).await;
         }),
-        Box::new(|_, ctx| {
-            assert_eq!(MemCtx::new(ctx).recv(42), 1234);
+        proc_body(async move |_, mem| {
+            assert_eq!(mem.recv(42).await, 1234);
         }),
     ];
     let config = MachineConfig {
@@ -205,10 +203,10 @@ fn unallocated_address_is_a_typed_run_error() {
         let mut setup = SetupCtx::new(2);
         setup.alloc(0, 1);
         let bodies: Vec<ProcBody> = vec![
-            Box::new(|_, ctx| {
-                MemCtx::new(ctx).read(Addr(1 << 40)); // fabricated pointer
+            proc_body(async move |_, mem| {
+                mem.read(Addr(1 << 40)).await; // fabricated pointer
             }),
-            Box::new(|_, _| {}),
+            proc_body(async |_, _| {}),
         ];
         match Engine::new(kind, &topo, setup, bodies).run() {
             Err(RunError::UnallocatedAddress { addr }) => {

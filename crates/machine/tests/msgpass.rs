@@ -2,7 +2,7 @@
 //! platform family the SPASM simulator supports.
 
 use spasm_desim::SimTime;
-use spasm_machine::{Engine, MachineKind, MemCtx, ProcBody, RunError, SetupCtx};
+use spasm_machine::{proc_body, Engine, MachineKind, ProcBody, RunError, SetupCtx};
 use spasm_topology::Topology;
 
 const ALL: [MachineKind; 4] = [
@@ -19,16 +19,14 @@ fn ping_pong_roundtrips_value_on_all_machines() {
         let mut setup = SetupCtx::new(2);
         let out = setup.alloc(0, 1);
         let bodies: Vec<ProcBody> = vec![
-            Box::new(move |_, ctx| {
-                let mem = MemCtx::new(ctx);
-                mem.send(1, 32, 7, 41);
-                let v = mem.recv(8);
-                mem.write(out, v);
+            proc_body(async move |_, mem| {
+                mem.send(1, 32, 7, 41).await;
+                let v = mem.recv(8).await;
+                mem.write(out, v).await;
             }),
-            Box::new(|_, ctx| {
-                let mem = MemCtx::new(ctx);
-                let v = mem.recv(7);
-                mem.send(0, 32, 8, v + 1);
+            proc_body(async move |_, mem| {
+                let v = mem.recv(7).await;
+                mem.send(0, 32, 8, v + 1).await;
             }),
         ];
         let r = Engine::new(kind, &topo, setup, bodies).run().unwrap();
@@ -41,13 +39,12 @@ fn recv_before_send_blocks_and_accumulates_sync() {
     let topo = Topology::full(2);
     let setup = SetupCtx::new(2);
     let bodies: Vec<ProcBody> = vec![
-        Box::new(|_, ctx| {
-            let mem = MemCtx::new(ctx);
-            mem.compute(10_000); // 300us of work before sending
-            mem.send(1, 8, 1, 99);
+        proc_body(async move |_, mem| {
+            mem.compute(10_000).await; // 300us of work before sending
+            mem.send(1, 8, 1, 99).await;
         }),
-        Box::new(|_, ctx| {
-            assert_eq!(MemCtx::new(ctx).recv(1), 99);
+        proc_body(async move |_, mem| {
+            assert_eq!(mem.recv(1).await, 99);
         }),
     ];
     let r = Engine::new(MachineKind::Target, &topo, setup, bodies)
@@ -63,17 +60,15 @@ fn messages_with_same_tag_are_fifo() {
         let mut setup = SetupCtx::new(2);
         let out = setup.alloc(0, 3);
         let bodies: Vec<ProcBody> = vec![
-            Box::new(move |_, ctx| {
-                let mem = MemCtx::new(ctx);
+            proc_body(async move |_, mem| {
                 for i in 0..3u64 {
-                    mem.send(1, 16, 5, 100 + i);
+                    mem.send(1, 16, 5, 100 + i).await;
                 }
             }),
-            Box::new(move |_, ctx| {
-                let mem = MemCtx::new(ctx);
+            proc_body(async move |_, mem| {
                 for i in 0..3u64 {
-                    let v = mem.recv(5);
-                    mem.write(out.offset_words(i), v);
+                    let v = mem.recv(5).await;
+                    mem.write(out.offset_words(i), v).await;
                 }
             }),
         ];
@@ -94,19 +89,17 @@ fn tags_demultiplex_independent_streams() {
     let mut setup = SetupCtx::new(2);
     let out = setup.alloc(0, 2);
     let bodies: Vec<ProcBody> = vec![
-        Box::new(move |_, ctx| {
-            let mem = MemCtx::new(ctx);
-            mem.send(1, 8, 2, 222);
-            mem.send(1, 8, 1, 111);
+        proc_body(async move |_, mem| {
+            mem.send(1, 8, 2, 222).await;
+            mem.send(1, 8, 1, 111).await;
         }),
-        Box::new(move |_, ctx| {
-            let mem = MemCtx::new(ctx);
+        proc_body(async move |_, mem| {
             // Receive in the opposite order of sending: tag matching, not
             // arrival order, decides.
-            let a = mem.recv(1);
-            let b = mem.recv(2);
-            mem.write(out, a);
-            mem.write(out.offset_words(1), b);
+            let a = mem.recv(1).await;
+            let b = mem.recv(2).await;
+            mem.write(out, a).await;
+            mem.write(out.offset_words(1), b).await;
         }),
     ];
     let r = Engine::new(MachineKind::CLogP, &topo, setup, bodies)
@@ -127,28 +120,30 @@ fn ring_all_reduce_computes_global_sum() {
         let out = setup.alloc(0, p as u64);
         let bodies: Vec<ProcBody> = (0..p)
             .map(|_| {
-                let b: ProcBody = Box::new(move |me, ctx| {
-                    let mem = MemCtx::new(ctx);
+                proc_body(async move |me, mem| {
                     let next = (me + 1) % p;
                     let mine = me as u64 + 1;
                     // Accumulation pass.
-                    let acc = if me == 0 { mine } else { mem.recv(1) + mine };
-                    mem.send(next, 32, if next == 0 { 2 } else { 1 }, acc);
+                    let acc = if me == 0 {
+                        mine
+                    } else {
+                        mem.recv(1).await + mine
+                    };
+                    mem.send(next, 32, if next == 0 { 2 } else { 1 }, acc).await;
                     // Broadcast pass.
                     let total = if me == 0 {
-                        let t = mem.recv(2);
-                        mem.send(next, 32, 3, t);
+                        let t = mem.recv(2).await;
+                        mem.send(next, 32, 3, t).await;
                         t
                     } else {
-                        let t = mem.recv(3);
+                        let t = mem.recv(3).await;
                         if next != 0 {
-                            mem.send(next, 32, 3, t);
+                            mem.send(next, 32, 3, t).await;
                         }
                         t
                     };
-                    mem.write(out.offset_words(me as u64), total);
-                });
-                b
+                    mem.write(out.offset_words(me as u64), total).await;
+                })
             })
             .collect();
         let r = Engine::new(kind, &topo, setup, bodies).run().unwrap();
@@ -172,13 +167,12 @@ fn logp_sender_is_asynchronous_target_sender_holds_circuit() {
         let topo = Topology::full(2);
         let setup = SetupCtx::new(2);
         let bodies: Vec<ProcBody> = vec![
-            Box::new(|_, ctx| {
-                let mem = MemCtx::new(ctx);
-                mem.send(1, 32, 1, 0);
+            proc_body(async move |_, mem| {
+                mem.send(1, 32, 1, 0).await;
                 // Sender's finish time IS its completion of the send.
             }),
-            Box::new(|_, ctx| {
-                MemCtx::new(ctx).recv(1);
+            proc_body(async move |_, mem| {
+                mem.recv(1).await;
             }),
         ];
         Engine::new(kind, &topo, setup, bodies).run().unwrap()
@@ -196,9 +190,9 @@ fn missing_sender_is_a_deadlock_not_a_hang() {
     let topo = Topology::full(2);
     let setup = SetupCtx::new(2);
     let bodies: Vec<ProcBody> = vec![
-        Box::new(|_, _| {}),
-        Box::new(|_, ctx| {
-            MemCtx::new(ctx).recv(9);
+        proc_body(async |_, _| {}),
+        proc_body(async move |_, mem| {
+            mem.recv(9).await;
         }),
     ];
     match Engine::new(MachineKind::Target, &topo, setup, bodies).run() {
@@ -212,11 +206,11 @@ fn oversized_message_rejected() {
     let topo = Topology::full(2);
     let setup = SetupCtx::new(2);
     let bodies: Vec<ProcBody> = vec![
-        Box::new(|_, ctx| {
-            MemCtx::new(ctx).send(1, 64, 1, 0);
+        proc_body(async move |_, mem| {
+            mem.send(1, 64, 1, 0).await;
         }),
-        Box::new(|_, ctx| {
-            MemCtx::new(ctx).recv(1);
+        proc_body(async move |_, mem| {
+            mem.recv(1).await;
         }),
     ];
     // The malformed request is a typed error, not a process abort.

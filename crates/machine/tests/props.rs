@@ -2,7 +2,7 @@
 //! machine model changes *time*, never *semantics* — all four machines
 //! must produce the identical final memory state. (spasm-testkit)
 
-use spasm_machine::{sync, Addr, Engine, MachineKind, MemCtx, ProcBody, RunReport, SetupCtx};
+use spasm_machine::{proc_body, sync, Addr, Engine, MachineKind, ProcBody, RunReport, SetupCtx};
 use spasm_testkit::{check_with, gens, prop_assert, prop_assert_eq, Config, Gen};
 use spasm_topology::Topology;
 
@@ -91,34 +91,32 @@ fn run_world(kind: MachineKind, p: usize, programs: &[Vec<Op>]) -> (World, RunRe
         .iter()
         .cloned()
         .map(|program| {
-            let body: ProcBody = Box::new(move |me, ctx| {
-                let mem = MemCtx::new(ctx);
+            proc_body(async move |me, mem| {
                 let mut bar = barrier.handle();
                 for op in &program {
                     match *op {
-                        Op::Compute(c) => mem.compute(c),
+                        Op::Compute(c) => mem.compute(c).await,
                         Op::Read(w) => {
-                            mem.read(shared.offset_words(w as u64));
+                            mem.read(shared.offset_words(w as u64)).await;
                         }
                         Op::WriteOwn(slot, v) => {
-                            mem.write(own.offset_words((me * 4 + slot) as u64), v);
+                            mem.write(own.offset_words((me * 4 + slot) as u64), v).await;
                         }
                         Op::Add(c, n) => {
-                            mem.fetch_add(counters.offset_words(c as u64), n);
+                            mem.fetch_add(counters.offset_words(c as u64), n).await;
                         }
                         Op::LockedIncrement(c) => {
                             let lock = locks.offset_words(c as u64);
-                            sync::lock(&mem, lock);
+                            sync::lock(&mem, lock).await;
                             let cell = cells.offset_words(c as u64);
-                            let v = mem.read(cell);
-                            mem.write(cell, v + 1);
-                            sync::unlock(&mem, lock);
+                            let v = mem.read(cell).await;
+                            mem.write(cell, v + 1).await;
+                            sync::unlock(&mem, lock).await;
                         }
-                        Op::Barrier => bar.wait(&mem),
+                        Op::Barrier => bar.wait(&mem).await,
                     }
                 }
-            });
-            body
+            })
         })
         .collect();
 

@@ -1,7 +1,7 @@
 //! Engine-level telemetry: interval invariants on whole simulations.
 
 use spasm_machine::{
-    sync, Engine, IntervalRecord, MachineConfig, MachineKind, MemCtx, ProcBody, SetupCtx,
+    proc_body, sync, Engine, IntervalRecord, MachineConfig, MachineKind, ProcBody, SetupCtx,
     TelemetryConfig,
 };
 use spasm_topology::Topology;
@@ -23,18 +23,16 @@ fn workload(p: usize) -> (Topology, SetupCtx, Vec<ProcBody>) {
     let bodies: Vec<ProcBody> = (0..p)
         .map(|me| {
             let mut bh = barrier.handle();
-            let b: ProcBody = Box::new(move |_, ctx| {
-                let mem = MemCtx::new(ctx);
+            proc_body(async move |_, mem| {
                 for round in 0..4u64 {
-                    mem.compute(50);
-                    let v = mem.read(shared.offset_words(((me + 1) % p) as u64));
-                    mem.write(shared.offset_words(me as u64), v + round);
-                    mem.send((me + 1) % p, 16, 7, round);
-                    mem.recv(7);
-                    bh.wait(&mem);
+                    mem.compute(50).await;
+                    let v = mem.read(shared.offset_words(((me + 1) % p) as u64)).await;
+                    mem.write(shared.offset_words(me as u64), v + round).await;
+                    mem.send((me + 1) % p, 16, 7, round).await;
+                    mem.recv(7).await;
+                    bh.wait(&mem).await;
                 }
-            });
-            b
+            })
         })
         .collect();
     (topo, setup, bodies)

@@ -19,7 +19,7 @@
 //! message in flight behind it.
 
 use spasm_apps::{App, BuiltApp, Verifier};
-use spasm_machine::{sync, Addr, MemCtx, ProcBody, SetupCtx};
+use spasm_machine::{proc_body, sync, Addr, ProcBody, SetupCtx};
 
 use crate::{Locality, Phase, Scenario};
 
@@ -234,8 +234,7 @@ impl App for ScenarioApp {
                 let mut handles: Vec<sync::BarrierHandle> =
                     barriers.iter().map(|b| b.handle()).collect();
                 let slot = slots[me];
-                let body: ProcBody = Box::new(move |_, ctx| {
-                    let mem = MemCtx::new(ctx);
+                proc_body(async move |_, mem| {
                     let mut ops_done = 0u64;
                     let mut payload_sum = 0u64;
                     for round in 0..sc.rounds {
@@ -245,7 +244,7 @@ impl App for ScenarioApp {
                             match *phase {
                                 Phase::Compute { cycles } => {
                                     for _ in 0..sc.clients {
-                                        mem.compute(cycles);
+                                        mem.compute(cycles).await;
                                     }
                                 }
                                 Phase::Mem { ops } => {
@@ -254,13 +253,14 @@ impl App for ScenarioApp {
                                             match mem_op(&sc, p, seed, me, [round, pi, client, op])
                                             {
                                                 MemOp::Write { off, val } => {
-                                                    mem.write(regions[me].offset_words(off), val);
+                                                    mem.write(regions[me].offset_words(off), val)
+                                                        .await;
                                                 }
                                                 MemOp::ReadOwn { off } => {
-                                                    mem.read(regions[me].offset_words(off));
+                                                    mem.read(regions[me].offset_words(off)).await;
                                                 }
                                                 MemOp::ReadPartner { from, off } => {
-                                                    mem.read(regions[from].offset_words(off));
+                                                    mem.read(regions[from].offset_words(off)).await;
                                                 }
                                             }
                                             ops_done += 1;
@@ -281,7 +281,8 @@ impl App for ScenarioApp {
                                                     me,
                                                     [round, pi, client, m],
                                                 );
-                                                mem.send(msg.dst, msg.bytes, msg.tag, msg.payload);
+                                                mem.send(msg.dst, msg.bytes, msg.tag, msg.payload)
+                                                    .await;
                                                 ops_done += 1;
                                             }
                                         }
@@ -297,22 +298,21 @@ impl App for ScenarioApp {
                                             );
                                             for _ in 0..n {
                                                 payload_sum =
-                                                    payload_sum.wrapping_add(mem.recv(tag));
+                                                    payload_sum.wrapping_add(mem.recv(tag).await);
                                             }
                                         }
                                     }
                                 }
                                 Phase::Barrier => {
-                                    handles[barrier_at].wait(&mem);
+                                    handles[barrier_at].wait(&mem).await;
                                     barrier_at += 1;
                                 }
                             }
                         }
                     }
-                    mem.write(slot, ops_done);
-                    mem.write(slot.offset_words(1), payload_sum);
-                });
-                body
+                    mem.write(slot, ops_done).await;
+                    mem.write(slot.offset_words(1), payload_sum).await;
+                })
             })
             .collect();
 

@@ -5,8 +5,9 @@
 //! Shows the full downstream-user story:
 //!
 //! 1. allocate distributed shared data with `SetupCtx`;
-//! 2. write per-processor bodies as ordinary blocking Rust using `MemCtx`
-//!    (reads/writes/compute) and `sync` (barriers);
+//! 2. write per-processor bodies as `async` closures over `MemCtx`
+//!    (reads/writes/compute) and `sync` (barriers), with an `.await` at
+//!    each simulated operation;
 //! 3. run on any machine characterization and compare overheads;
 //! 4. verify the numeric result from the final value store.
 //!
@@ -14,7 +15,7 @@
 //! cargo run --release --example custom_app
 //! ```
 
-use spasm::machine::{sync, Addr, Engine, MachineKind, MemCtx, ProcBody, SetupCtx};
+use spasm::machine::{proc_body, sync, Addr, Engine, MachineKind, ProcBody, SetupCtx};
 use spasm::topology::Topology;
 
 const N: usize = 128; // interior points
@@ -65,8 +66,7 @@ fn main() {
             .map(|_| {
                 let a = grid_a.clone();
                 let b = grid_b.clone();
-                let body: ProcBody = Box::new(move |me, ctx| {
-                    let mem = MemCtx::new(ctx);
+                proc_body(async move |me, mem| {
                     let mut bar = barrier.handle();
                     let lo = (me * chunk).max(1);
                     let hi = ((me + 1) * chunk).min(N + 1);
@@ -75,16 +75,15 @@ fn main() {
                         for i in lo..hi {
                             // Halo reads at chunk edges are remote: the
                             // stencil's only communication.
-                            let left = mem.read_f64(addr(src, i - 1));
-                            let right = mem.read_f64(addr(src, i + 1));
-                            mem.compute(4);
-                            mem.write_f64(addr(dst, i), 0.5 * (left + right));
+                            let left = mem.read_f64(addr(src, i - 1)).await;
+                            let right = mem.read_f64(addr(src, i + 1)).await;
+                            mem.compute(4).await;
+                            mem.write_f64(addr(dst, i), 0.5 * (left + right)).await;
                         }
-                        bar.wait(&mem);
+                        bar.wait(&mem).await;
                         std::mem::swap(&mut src, &mut dst);
                     }
-                });
-                body
+                })
             })
             .collect();
 

@@ -8,7 +8,7 @@
 //! cargo run --release --example message_passing [procs]
 //! ```
 
-use spasm::machine::{Engine, MachineKind, MemCtx, ProcBody, RunReport, SetupCtx};
+use spasm::machine::{proc_body, Engine, MachineKind, ProcBody, RunReport, SetupCtx};
 use spasm::topology::Topology;
 
 fn ring_all_reduce(kind: MachineKind, p: usize) -> RunReport {
@@ -17,26 +17,28 @@ fn ring_all_reduce(kind: MachineKind, p: usize) -> RunReport {
     let out = setup.alloc(0, p as u64);
     let bodies: Vec<ProcBody> = (0..p)
         .map(|_| {
-            let b: ProcBody = Box::new(move |me, ctx| {
-                let mem = MemCtx::new(ctx);
+            proc_body(async move |me, mem| {
                 let next = (me + 1) % p;
                 let mine = (me as u64 + 1) * 10;
-                let acc = if me == 0 { mine } else { mem.recv(1) + mine };
-                mem.send(next, 32, if next == 0 { 2 } else { 1 }, acc);
+                let acc = if me == 0 {
+                    mine
+                } else {
+                    mem.recv(1).await + mine
+                };
+                mem.send(next, 32, if next == 0 { 2 } else { 1 }, acc).await;
                 let total = if me == 0 {
-                    let t = mem.recv(2);
-                    mem.send(next, 32, 3, t);
+                    let t = mem.recv(2).await;
+                    mem.send(next, 32, 3, t).await;
                     t
                 } else {
-                    let t = mem.recv(3);
+                    let t = mem.recv(3).await;
                     if next != 0 {
-                        mem.send(next, 32, 3, t);
+                        mem.send(next, 32, 3, t).await;
                     }
                     t
                 };
-                mem.write(out.offset_words(me as u64), total);
-            });
-            b
+                mem.write(out.offset_words(me as u64), total).await;
+            })
         })
         .collect();
     Engine::new(kind, &topo, setup, bodies).run().unwrap()
@@ -48,23 +50,21 @@ fn all_to_all(kind: MachineKind, p: usize) -> RunReport {
     let sums = setup.alloc(0, p as u64);
     let bodies: Vec<ProcBody> = (0..p)
         .map(|_| {
-            let b: ProcBody = Box::new(move |me, ctx| {
-                let mem = MemCtx::new(ctx);
+            proc_body(async move |me, mem| {
                 // Stagger destinations so everyone is not hammering the
                 // same receiver at once.
                 for step in 1..p {
                     let dst = (me + step) % p;
-                    mem.send(dst, 32, me as u64, (me * 1000 + dst) as u64);
+                    mem.send(dst, 32, me as u64, (me * 1000 + dst) as u64).await;
                 }
                 let mut sum = 0;
                 for src in 0..p {
                     if src != me {
-                        sum += mem.recv(src as u64);
+                        sum += mem.recv(src as u64).await;
                     }
                 }
-                mem.write(sums.offset_words(me as u64), sum);
-            });
-            b
+                mem.write(sums.offset_words(me as u64), sum).await;
+            })
         })
         .collect();
     Engine::new(kind, &topo, setup, bodies).run().unwrap()

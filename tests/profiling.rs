@@ -2,7 +2,7 @@
 //! per-data-structure traffic attribution, end to end.
 
 use spasm::apps::{App, Cg, Cholesky};
-use spasm::machine::{Engine, MachineKind, SetupCtx};
+use spasm::machine::{proc_body, Engine, MachineKind, SetupCtx};
 use spasm::topology::Topology;
 
 #[test]
@@ -68,10 +68,10 @@ fn unlabeled_runs_have_empty_region_table() {
     let mut setup = SetupCtx::new(2);
     let a = setup.alloc(1, 4);
     let bodies: Vec<spasm::machine::ProcBody> = vec![
-        Box::new(move |_, ctx| {
-            spasm::machine::MemCtx::new(ctx).read(a);
+        proc_body(async move |_, mem| {
+            mem.read(a).await;
         }),
-        Box::new(|_, _| {}),
+        proc_body(async |_, _| {}),
     ];
     let r = Engine::new(MachineKind::Target, &topo, setup, bodies)
         .run()

@@ -6,7 +6,7 @@
 use spasm::apps::{AppId, SizeClass};
 use spasm::core::{run_bodies, Experiment, ExperimentError, Machine, Net, RunMetrics};
 use spasm::machine::{
-    FaultPlan, MachineConfig, MemCtx, Pred, ProcBody, RunBudget, RunError, SetupCtx,
+    proc_body, FaultPlan, MachineConfig, Pred, ProcBody, RunBudget, RunError, SetupCtx,
 };
 
 fn fingerprint(m: &RunMetrics) -> (u64, u64, u64, u64, u64, u64) {
@@ -35,8 +35,8 @@ fn panicking_body_is_a_typed_error_on_every_machine() {
     for machine in Machine::ALL {
         let setup = SetupCtx::new(2);
         let bodies: Vec<ProcBody> = vec![
-            Box::new(|_, _| {}),
-            Box::new(|_, _| panic!("deliberate body panic")),
+            proc_body(async |_, _| {}),
+            proc_body(async |_, _| panic!("deliberate body panic")),
         ];
         let err = run_bodies(machine, Net::Full, 2, machine.config(), setup, bodies).unwrap_err();
         match err {
@@ -59,10 +59,10 @@ fn stuck_workload_is_deadlock_or_budget_on_every_machine() {
         let mut setup = SetupCtx::new(2);
         let flag = setup.alloc(0, 1);
         let bodies: Vec<ProcBody> = vec![
-            Box::new(move |_, ctx| {
-                MemCtx::new(ctx).wait_until(flag, Pred::Eq(1));
+            proc_body(async move |_, mem| {
+                mem.wait_until(flag, Pred::Eq(1)).await;
             }),
-            Box::new(|_, _| {}),
+            proc_body(async |_, _| {}),
         ];
         let config = config_for(machine, None, RunBudget::events(200_000));
         let err = run_bodies(machine, Net::Full, 2, config, setup, bodies).unwrap_err();
