@@ -17,9 +17,9 @@
 //! refuse with a typed error naming the corruption.
 //!
 //! `--campaign` fuzzes random multi-fault scripts (torn/short writes,
-//! ENOSPC, dropped fsyncs, failed renames, power cuts) across four
+//! ENOSPC, dropped fsyncs, failed renames, power cuts) across three
 //! failure families — plain journal, two-shard fleet with merge,
-//! deadline-cut resume, optimistic engine under anti-message loss — and
+//! deadline-cut resume — and
 //! on the first oracle violation shrinks the script to a minimal
 //! reproducer before exiting nonzero.
 //!

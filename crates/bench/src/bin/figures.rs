@@ -61,7 +61,7 @@ use spasm_core::journal::SweepJournal;
 use spasm_core::shard::{merge_shards, ShardError, ShardSpec};
 use spasm_core::sweep::{run_figure_journaled, run_figure_observed, run_figure_shard, SweepConfig};
 use spasm_exec::ExecEvent;
-use spasm_machine::{CheckMode, EngineMode, FaultPlan, RunBudget, TelemetryConfig};
+use spasm_machine::{CheckMode, FaultPlan, RunBudget, TelemetryConfig};
 
 struct Args {
     figures: Vec<&'static FigureSpec>,
@@ -97,10 +97,6 @@ struct Args {
     telemetry: Option<String>,
     /// Telemetry bucket width in simulated microseconds.
     telemetry_interval_us: u64,
-    /// Which engine drives each run (`--engine sequential|optimistic:N`).
-    /// Output is bit-identical either way — the optimistic engine trades
-    /// host threads for wall time, never results.
-    engine: EngineMode,
 }
 
 /// Exit code when points failed but partial figures were salvaged.
@@ -122,8 +118,7 @@ fn usage() -> ! {
          [--check] [--strict-check] [--faults SEED] \
          [--journal PATH [--resume]] [--deadline-secs N] \
          [--shard K/N --journal DIR] [--merge DIR] \
-         [--scenario FILE] [--telemetry FILE [--telemetry-interval-us N]] \
-         [--engine sequential|optimistic[:N]]"
+         [--scenario FILE] [--telemetry FILE [--telemetry-interval-us N]]"
     );
     std::process::exit(2)
 }
@@ -148,7 +143,6 @@ fn parse_args() -> Args {
         merge: None,
         telemetry: None,
         telemetry_interval_us: 100,
-        engine: EngineMode::Sequential,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -254,16 +248,6 @@ fn parse_args() -> Args {
                     .filter(|&us| us > 0)
                     .unwrap_or_else(|| usage());
             }
-            "--engine" => {
-                let name = it.next().unwrap_or_else(|| usage());
-                match EngineMode::from_name(&name) {
-                    Some(mode) => args.engine = mode,
-                    None => {
-                        eprintln!("--engine {name}: expected sequential or optimistic[:workers]");
-                        std::process::exit(2);
-                    }
-                }
-            }
             "--deadline-secs" => {
                 args.deadline = Some(Duration::from_secs(
                     it.next()
@@ -332,7 +316,7 @@ fn run_ablation(which: &str, jobs: usize) {
             for app in AppId::ALL {
                 let s = ablation_run(
                     which,
-                    ablation::traffic_aware_g_jobs(app, SizeClass::Test, Net::Mesh, 8, 1995, jobs),
+                    ablation::traffic_aware_g(app, SizeClass::Test, Net::Mesh, 8, 1995, jobs),
                 );
                 println!(
                     "{:>9} {:>8.0}% {:>12.1} {:>12.1} {:>12.1}",
@@ -353,14 +337,7 @@ fn run_ablation(which: &str, jobs: usize) {
             for app in AppId::ALL {
                 let s = ablation_run(
                     which,
-                    ablation::protocol_sensitivity_jobs(
-                        app,
-                        SizeClass::Test,
-                        Net::Full,
-                        8,
-                        1995,
-                        jobs,
-                    ),
+                    ablation::protocol_sensitivity(app, SizeClass::Test, Net::Full, 8, 1995, jobs),
                 );
                 println!(
                     "{:>9} {:>14.1} {:>18.1} {:>7.1}%",
@@ -381,7 +358,7 @@ fn run_ablation(which: &str, jobs: usize) {
             for app in AppId::ALL {
                 let points = ablation_run(
                     which,
-                    ablation::cache_working_set_jobs(
+                    ablation::cache_working_set(
                         app,
                         SizeClass::Test,
                         Net::Full,
@@ -640,7 +617,6 @@ fn main() -> ExitCode {
             .telemetry
             .as_ref()
             .map(|_| TelemetryConfig::every_us(args.telemetry_interval_us)),
-        engine: args.engine,
         ..SweepConfig::default()
     };
     if let Some(dir) = &args.merge {

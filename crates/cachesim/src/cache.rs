@@ -1,6 +1,6 @@
 //! Set-associative cache array with LRU replacement.
 
-use crate::{fnv_word, BState, FNV_OFFSET};
+use crate::BState;
 
 /// Geometry of a cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,12 +111,6 @@ struct Meta {
     stamp: u64,
     state: BState,
 }
-
-/// An opaque, complete snapshot of a [`Cache`]'s state, taken with
-/// [`Cache::save`] and reapplied with [`Cache::restore`]. Used by the
-/// optimistic engine's rollback machinery and its property tests.
-#[derive(Debug, Clone)]
-pub struct CacheSnapshot(Cache);
 
 /// Sentinel for [`Cache::mru`]: no valid hint for this set.
 const NO_MRU: u32 = u32::MAX;
@@ -277,51 +271,6 @@ impl Cache {
     /// Number of resident lines (for tests and occupancy reporting).
     pub fn resident(&self) -> usize {
         self.lens.iter().map(|&n| n as usize).sum()
-    }
-
-    /// Captures the cache's complete state for a later [`Cache::restore`].
-    pub fn save(&self) -> CacheSnapshot {
-        CacheSnapshot(self.clone())
-    }
-
-    /// Reverts the cache to a previously saved snapshot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot came from a cache with different geometry —
-    /// snapshots only travel between a cache and its own history.
-    pub fn restore(&mut self, snap: &CacheSnapshot) {
-        assert!(
-            self.set_mask == snap.0.set_mask && self.assoc == snap.0.assoc,
-            "restore from a snapshot of different cache geometry"
-        );
-        *self = snap.0.clone();
-    }
-
-    /// A 64-bit digest of the complete cache state (FNV-1a over every
-    /// field, in declaration order). Two caches with equal hashes are
-    /// equal for all practical purposes; the optimistic engine's strict
-    /// mode uses this to audit that rollback replay reconstructs state
-    /// exactly.
-    pub fn state_hash(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        for set in 0..self.lens.len() {
-            let base = set * self.assoc;
-            let used = self.lens[set] as usize;
-            fnv_word(&mut h, used as u64);
-            fnv_word(&mut h, u64::from(self.mru[set]));
-            for slot in base..base + used {
-                fnv_word(&mut h, self.blocks[slot]);
-                fnv_word(&mut h, self.meta[slot].stamp);
-                fnv_word(&mut h, self.meta[slot].state as u64);
-            }
-        }
-        fnv_word(&mut h, self.clock);
-        fnv_word(&mut h, self.stats.hits);
-        fnv_word(&mut h, self.stats.misses);
-        fnv_word(&mut h, self.stats.evictions);
-        fnv_word(&mut h, self.stats.invalidations);
-        h
     }
 
     /// All resident blocks with their states, in no particular order

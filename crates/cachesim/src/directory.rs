@@ -1,7 +1,5 @@
 //! Fully-mapped directory state.
 
-use crate::{fnv_word, FNV_OFFSET};
-
 /// One block's directory entry: a full-map presence set plus the Berkeley
 /// owner (the cache responsible for supplying data and writing back).
 ///
@@ -85,12 +83,7 @@ impl DirEntry {
 /// insert-only discipline permits plain linear probing with no tombstones,
 /// and block numbers hash with a single Fibonacci multiply instead of
 /// SipHash.
-///
-/// Equality compares the physical table (slot layout included), so it
-/// only holds between directories with identical insertion histories —
-/// exactly what snapshot/restore round-trips produce. For a
-/// layout-independent comparison use [`Directory::state_hash`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Directory {
     /// Power-of-two slot array; `None` is an empty slot.
     slots: Vec<Option<(u64, DirEntry)>>,
@@ -186,43 +179,7 @@ impl Directory {
     pub fn blocks(&self) -> impl Iterator<Item = u64> + '_ {
         self.slots.iter().flatten().map(|&(k, _)| k)
     }
-
-    /// Captures the directory's complete state for a later
-    /// [`Directory::restore`].
-    pub fn save(&self) -> DirectorySnapshot {
-        DirectorySnapshot(self.clone())
-    }
-
-    /// Reverts the directory to a previously saved snapshot.
-    pub fn restore(&mut self, snap: &DirectorySnapshot) {
-        *self = snap.0.clone();
-    }
-
-    /// A 64-bit digest of the directory's *logical* state: per-entry
-    /// hashes combined commutatively, so the digest is independent of
-    /// slot layout and table capacity (entries land in different slots
-    /// after a [`Directory::grow`], but the hash is unchanged).
-    pub fn state_hash(&self) -> u64 {
-        let mut acc = 0u64;
-        for &(block, entry) in self.slots.iter().flatten() {
-            let mut h = FNV_OFFSET;
-            fnv_word(&mut h, block);
-            fnv_word(&mut h, entry.sharers);
-            fnv_word(&mut h, entry.owner.map_or(u64::MAX, |o| o as u64));
-            // Commutative fold: wrapping add is order-insensitive.
-            acc = acc.wrapping_add(h);
-        }
-        let mut out = FNV_OFFSET;
-        fnv_word(&mut out, self.items as u64);
-        fnv_word(&mut out, acc);
-        out
-    }
 }
-
-/// An opaque, complete snapshot of a [`Directory`], taken with
-/// [`Directory::save`] and reapplied with [`Directory::restore`].
-#[derive(Debug, Clone)]
-pub struct DirectorySnapshot(Directory);
 
 #[cfg(test)]
 mod tests {

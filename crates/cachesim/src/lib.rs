@@ -45,23 +45,9 @@ mod cache;
 mod controller;
 mod directory;
 
-pub use cache::{Cache, CacheConfig, CacheSnapshot, CacheStats, Evicted};
-pub use controller::{
-    AccessKind, CoherenceController, CoherenceSnapshot, Outcome, ProtocolKind, Supplier, Writeback,
-};
-pub use directory::{DirEntry, Directory, DirectorySnapshot};
-
-/// FNV-1a offset basis, shared by the crate's state-hash digests.
-pub(crate) const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-
-/// Folds one word into an FNV-1a digest, byte by byte.
-#[inline]
-pub(crate) fn fnv_word(h: &mut u64, v: u64) {
-    for b in v.to_le_bytes() {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-}
+pub use cache::{Cache, CacheConfig, CacheStats, Evicted};
+pub use controller::{AccessKind, CoherenceController, Outcome, ProtocolKind, Supplier, Writeback};
+pub use directory::{DirEntry, Directory};
 
 /// Berkeley-protocol cache line states.
 ///

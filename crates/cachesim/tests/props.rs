@@ -1,8 +1,10 @@
 //! Property-based tests: the Berkeley protocol invariants hold under
 //! arbitrary access interleavings (spasm-testkit).
 
-use spasm_cache::{AccessKind, BState, CacheConfig, CoherenceController};
-use spasm_testkit::{check, gens, prop_assert_eq, Gen};
+use spasm_cache::{
+    AccessKind, BState, CacheConfig, CoherenceController, Outcome, ProtocolKind, Supplier,
+};
+use spasm_testkit::{check, gens, prop_assert, prop_assert_eq, Gen};
 
 /// Raw (node, block, write) accesses.
 fn ops(p: usize, blocks: u64) -> Gen<Vec<(usize, u64, bool)>> {
@@ -137,6 +139,71 @@ fn hits_are_local() {
                 let after: Vec<_> = (0..3).map(|n| cc.cache(n).peek(block)).collect();
                 prop_assert_eq!(before, after);
             }
+            Ok(())
+        },
+    );
+}
+
+/// An access changes only the caches its outcome names — the accessor's,
+/// the invalidated ones, and a supplying or downgraded owner — under
+/// both protocols: there is no hidden cross-node coupling.
+#[test]
+fn access_changes_only_the_caches_its_outcome_names() {
+    check(
+        "access_changes_only_the_caches_its_outcome_names",
+        &gens::tuple3(
+            ops(4, 24),
+            gens::tuple3(gens::usizes(0..4), gens::u64s(0..24), gens::bools()),
+            gens::bools(),
+        ),
+        |(history, (node, block, write), wbor)| {
+            let (node, block) = (*node, *block);
+            let protocol = if *wbor {
+                ProtocolKind::WriteBackOnRead
+            } else {
+                ProtocolKind::Berkeley
+            };
+            let config = CacheConfig {
+                size_bytes: 256,
+                assoc: 2,
+                block_bytes: 32,
+            };
+            let mut cc = CoherenceController::with_protocol(4, config, protocol);
+            for &(n, b, w) in history {
+                cc.access(n, b, kind_of(w));
+            }
+            let before: Vec<_> = (0..4).map(|n| cc.cache(n).clone()).collect();
+            let outcome = cc.access(node, block, kind_of(*write));
+            let after: Vec<_> = (0..4).map(|n| cc.cache(n).clone()).collect();
+            let mut allowed = vec![node];
+            match &outcome {
+                Outcome::Hit => {}
+                Outcome::UpgradeHit { invalidated } => allowed.extend(invalidated),
+                Outcome::Miss {
+                    supplier,
+                    invalidated,
+                    downgrade_writeback,
+                    ..
+                } => {
+                    allowed.extend(invalidated);
+                    if let Supplier::Owner(o) = supplier {
+                        allowed.push(*o);
+                    }
+                    if let Some(wb) = downgrade_writeback {
+                        allowed.push(wb.from);
+                    }
+                }
+            }
+            for n in 0..4 {
+                prop_assert!(
+                    allowed.contains(&n) || before[n] == after[n],
+                    "cache[{n}] changed but outcome {outcome:?} does not name it"
+                );
+            }
+            prop_assert!(
+                before[node].stats() != after[node].stats(),
+                "cache[{node}] made an access yet its counters did not move"
+            );
             Ok(())
         },
     );

@@ -22,10 +22,9 @@
 //!   operation trace of a reference sweep, then re-runs the sweep once
 //!   per operation index with a crash injected there (plus a
 //!   dropped-fsync × delayed-crash grid that manufactures torn files).
-//! - [`run_campaign`] fuzzes random multi-fault scripts across four
+//! - [`run_campaign`] fuzzes random multi-fault scripts across three
 //!   failure families: the plain journal, a sharded fleet with merge,
-//!   deadline-cut sweeps resumed without the deadline, and the
-//!   optimistic engine under an anti-message-loss [`FaultPlan`].
+//!   and deadline-cut sweeps resumed without the deadline.
 //! - [`shrink_demo`] shows the [`spasm_testkit`] shrinker reducing a
 //!   many-entry failing script to a minimal reproducer.
 
@@ -36,7 +35,6 @@ use std::time::Duration;
 
 use spasm_apps::SizeClass;
 use spasm_journal::{Fault, FaultScript, FaultVfs, TraceEntry, Vfs, VfsOpKind};
-use spasm_machine::{CheckMode, EngineMode, FaultPlan};
 use spasm_testkit::{gens, minimize, Gen, TestRng};
 
 use crate::figures::{self, FigureSpec};
@@ -546,9 +544,9 @@ pub fn explore_crash_points(
     Ok(report)
 }
 
-/// The four failure families [`run_campaign`] rotates through, in trial
+/// The three failure families [`run_campaign`] rotates through, in trial
 /// order.
-pub const FAMILIES: [&str; 4] = ["journal", "shard-merge", "deadline", "anti-loss"];
+pub const FAMILIES: [&str; 3] = ["journal", "shard-merge", "deadline"];
 
 /// Campaign dimensions: how many trials, seeded where, shrinking how
 /// hard.
@@ -644,9 +642,8 @@ fn script_gen(max_op: usize) -> Gen<Vec<(usize, Fault)>> {
 
 /// Runs a fuzzing campaign: each trial draws a random multi-fault
 /// script and applies the recovery oracle in one of the [`FAMILIES`] —
-/// the plain journal, a two-shard fleet with merge, a deadline-cut
-/// victim resumed without its deadline, and the optimistic engine under
-/// an anti-message-loss [`FaultPlan::chaos`] plan. On the first oracle
+/// the plain journal, a two-shard fleet with merge, and a deadline-cut
+/// victim resumed without its deadline. On the first oracle
 /// violation the failing script is shrunk to a minimal reproducer and
 /// returned as a [`CampaignFailure`].
 pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignOutcome, Box<CampaignFailure>> {
@@ -678,24 +675,13 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignOutcome, Box<Camp
         deadline: Some(Duration::from_millis(1)),
         ..base.sweep
     };
-    let anti = ChaosSweep {
-        sweep: SweepConfig {
-            engine: EngineMode::Optimistic { workers: 2 },
-            faults: Some(FaultPlan::chaos(config.seed)),
-            check: CheckMode::On,
-            ..base.sweep
-        },
-        ..base.clone()
-    };
     let empty = FaultScript::default();
     let (expected_base, trace_base) =
         run_reference(&base).map_err(|e| harness_failure("journal", 0, &empty, e.to_string()))?;
-    let (expected_anti, trace_anti) =
-        run_reference(&anti).map_err(|e| harness_failure("anti-loss", 0, &empty, e.to_string()))?;
 
     // A two-shard fleet roughly doubles the op universe; the +8 keeps
     // some scripts poking past the end (inert entries must stay inert).
-    let max_op = trace_base.len().max(trace_anti.len()) * 2 + 8;
+    let max_op = trace_base.len() * 2 + 8;
     let entries_gen = script_gen(max_op);
 
     let mut identical = 0usize;
@@ -712,8 +698,7 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignOutcome, Box<Camp
         let verify = |s: &FaultScript| match family {
             "journal" => verify_script(&base, &expected_base, s),
             "shard-merge" => verify_shard_script(&base, 2, &expected_base, s),
-            "deadline" => verify_script_with(&base, &deadline_victim, &expected_base, s),
-            _ => verify_script(&anti, &expected_anti, s),
+            _ => verify_script_with(&base, &deadline_victim, &expected_base, s),
         };
         match verify(&script) {
             Ok(CrashVerdict::Identical { .. }) => identical += 1,

@@ -1,11 +1,10 @@
-//! Cancellation under speculation: aborting an optimistic run — at any
-//! poll point, including mid-rollback — must be clean. Clean means a
-//! typed [`RunError::Cancelled`], no panic, and *nothing from
-//! uncommitted history becoming durable*: a cancelled point never
-//! reaches the sweep journal, so a later resume re-runs it from scratch
-//! and converges on the same bytes as an uninterrupted sweep.
+//! Cancellation must be clean: aborting a run at any poll point ends in
+//! a typed [`RunError::Cancelled`] with every processor future dropped,
+//! and *nothing from an aborted run becomes durable*: a cancelled point
+//! never reaches the sweep journal, so a later resume re-runs it from
+//! scratch and converges on the same bytes as an uninterrupted sweep.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -13,80 +12,72 @@ use spasm_apps::SizeClass;
 use spasm_core::journal::SweepJournal;
 use spasm_core::sweep::{run_figure_journaled, run_figure_with, SweepConfig};
 use spasm_core::{figures, Machine};
-use spasm_machine::{proc_body, CheckMode, Engine, EngineMode, ProcBody, RunError, SetupCtx};
+use spasm_machine::{proc_body, CheckMode, Engine, MachineKind, ProcBody, RunError, SetupCtx};
 use spasm_topology::Topology;
 
-/// The rollback-heavy schedule from the equivalence suite: two
-/// processors race bare `fetch_add`s on a word homed at node 0, so the
-/// remote RMW's dispatch-to-commit window keeps swallowing the local
-/// one's commit.
-fn straggler_bodies(counter: spasm_machine::Addr) -> Vec<ProcBody> {
-    (0..2)
+/// Bumps its counter when dropped; each processor body owns one, so the
+/// counter reads how many processor futures are gone.
+struct Guard(Arc<AtomicUsize>);
+
+impl Drop for Guard {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+const PROCS: usize = 4;
+
+/// Four processors race `fetch_add`s on one word homed at node 0 between
+/// short computes, under the strict checker: enough events for the
+/// engine to poll its cancellation probe a few dozen times.
+fn racing_engine(dropped: &Arc<AtomicUsize>) -> Engine {
+    let topo = Topology::full(PROCS);
+    let mut setup = SetupCtx::new(PROCS);
+    let counter = setup.alloc(0, 1);
+    let bodies: Vec<ProcBody> = (0..PROCS)
         .map(|_| {
+            let guard = Guard(Arc::clone(dropped));
             proc_body(async move |_, mem| {
-                for _ in 0..30 {
+                let _guard = guard;
+                for _ in 0..3_000 {
                     mem.fetch_add(counter, 1).await;
                     mem.compute(5).await;
                 }
             })
         })
-        .collect()
-}
-
-fn straggler_engine() -> Engine {
-    let topo = Topology::full(2);
-    let mut setup = SetupCtx::new(2);
-    let counter = setup.alloc(0, 1);
+        .collect();
     let mut config = Machine::CLogP.config();
-    config.engine = EngineMode::Optimistic { workers: 4 };
     config.check = CheckMode::Strict;
-    let mut eng = Engine::with_config(
-        spasm_machine::MachineKind::CLogP,
-        &topo,
-        config,
-        setup,
-        straggler_bodies(counter),
-    );
-    eng.set_body_factory(Box::new(move |proc| {
-        straggler_bodies(counter)
-            .into_iter()
-            .nth(proc)
-            .expect("two bodies")
-    }));
-    eng
+    Engine::with_config(MachineKind::CLogP, &topo, config, setup, bodies)
 }
 
 /// Exhaustive kill sweep: count how many times an uncancelled run polls
-/// the probe (the poll sites include one *before every rollback*), then
-/// re-run the identical schedule killing it at each poll index in turn.
-/// Every kill — including the ones landing exactly on the mid-rollback
-/// polls — must surface as a typed `Cancelled`, never a panic, hang, or
-/// silently completed run.
+/// the probe, then re-run the identical schedule killing it at each poll
+/// index in turn. Every kill must surface as a typed `Cancelled` — never
+/// a panic, hang, or silently completed run — and dropping the engine
+/// must drop every processor future.
 #[test]
-fn killing_an_optimistic_run_at_every_poll_point_aborts_cleanly() {
-    // Pass 1: count polls without cancelling; prove the schedule rolls
-    // back so the sweep below necessarily covers mid-rollback polls.
+fn killing_a_run_at_every_poll_point_aborts_cleanly() {
     let polls = Arc::new(AtomicU64::new(0));
-    let mut eng = straggler_engine();
+    let dropped = Arc::new(AtomicUsize::new(0));
+    let mut eng = racing_engine(&dropped);
     let seen = Arc::clone(&polls);
-    eng.set_cancel_probe(Box::new(move |/* poll */| {
+    eng.set_cancel_probe(Box::new(move || {
         seen.fetch_add(1, Ordering::Relaxed);
         false
     }));
-    let report = eng.run().expect("uncancelled run completes");
+    eng.run().expect("uncancelled run completes");
+    drop(eng);
+    assert_eq!(dropped.load(Ordering::SeqCst), PROCS);
     let total_polls = polls.load(Ordering::Relaxed);
     assert!(
-        report.spec.rollbacks > 0,
-        "schedule must roll back so the kill sweep reaches mid-rollback polls"
-    );
-    assert!(
-        total_polls >= report.spec.rollbacks,
-        "every rollback polls the probe first"
+        total_polls > 10,
+        "only {total_polls} polls: too few to sweep"
     );
 
-    // Pass 2: kill at each poll index.
     for kill_at in 1..=total_polls {
-        let mut eng = straggler_engine();
+        let dropped = Arc::new(AtomicUsize::new(0));
+        let mut eng = racing_engine(&dropped);
         let calls = Arc::new(AtomicU64::new(0));
         let seen = Arc::clone(&calls);
         eng.set_cancel_probe(Box::new(move || {
@@ -98,13 +89,24 @@ fn killing_an_optimistic_run_at_every_poll_point_aborts_cleanly() {
                 panic!("kill at poll {kill_at}/{total_polls}: expected Cancelled, got {other:?}")
             }
         }
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            kill_at,
+            "probe polled past the kill"
+        );
+        drop(eng);
+        assert_eq!(
+            dropped.load(Ordering::SeqCst),
+            PROCS,
+            "kill at poll {kill_at}: a processor future outlived the engine"
+        );
     }
 }
 
 /// The durability half of the contract, through the public sweep path:
-/// a zero deadline cancels every point of an optimistic journaled sweep
-/// mid-speculation, the journal must end *empty* — an aborted run's
-/// uncommitted history is not a verdict — and resuming that journal
+/// a zero deadline cancels every point of a journaled sweep mid-run, the
+/// journal must end *empty* — an aborted run is not a verdict — and
+/// resuming that journal
 /// without the deadline converges byte-for-byte on an uninterrupted
 /// sweep's output.
 #[test]
@@ -112,10 +114,7 @@ fn cancelled_points_never_reach_the_journal() {
     let spec = figures::by_id("F1").expect("F1 exists");
     let procs = [8usize];
     let seed = 1995;
-    let sweep = SweepConfig {
-        engine: EngineMode::Optimistic { workers: 4 },
-        ..SweepConfig::default()
-    };
+    let sweep = SweepConfig::default();
 
     let dir = std::env::temp_dir().join("spasm-cancel-tests");
     std::fs::create_dir_all(&dir).unwrap();
@@ -139,13 +138,13 @@ fn cancelled_points_never_reach_the_journal() {
     );
     drop(j);
 
-    // The journal recorded nothing from the aborted speculation.
+    // The journal recorded nothing from the aborted runs.
     let resumed =
         SweepJournal::resume(&path, spec, SizeClass::Small, &procs, seed, &sweep).unwrap();
     assert_eq!(
         resumed.replayed(),
         0,
-        "cancelled points leaked uncommitted history into the journal"
+        "cancelled points leaked into the journal"
     );
 
     // Pass 2: resume without the deadline; the re-run must match an

@@ -23,7 +23,7 @@
 //! There is no executor here in the usual sense: no wake queue, no
 //! reactor, no task scheduling. The event loop decides who runs and polls
 //! that one future with a no-op waker. A suspended process is just a heap
-//! allocation; terminating one (a finished run, a rollback, a failed run)
+//! allocation; terminating one (a finished run or a failed run)
 //! is dropping its future.
 
 use std::cell::Cell;
@@ -118,7 +118,7 @@ impl<Q, R> CoroCtx<Q, R> {
 }
 
 struct ProcSlot<Q, R> {
-    /// `None` once the process finished, panicked, or was killed.
+    /// `None` once the process finished or panicked.
     fut: Option<ProcFuture>,
     chan: Rc<Chan<Q, R>>,
 }
@@ -199,28 +199,22 @@ impl<Q: 'static, R: 'static> CoroPool<Q, R> {
         let slots = bodies
             .into_iter()
             .enumerate()
-            .map(|(id, body)| Self::spawn_proc(id, body))
+            .map(|(id, body)| {
+                let chan = Rc::new(Chan {
+                    req: Cell::new(None),
+                    resp: Cell::new(None),
+                });
+                let ctx = CoroCtx {
+                    me: id,
+                    chan: Rc::clone(&chan),
+                };
+                ProcSlot {
+                    fut: Some(body(id, ctx)),
+                    chan,
+                }
+            })
             .collect();
         CoroPool { slots }
-    }
-
-    /// Builds one process's future around a fresh request/response slot.
-    fn spawn_proc<F>(id: ProcId, body: F) -> ProcSlot<Q, R>
-    where
-        F: FnOnce(ProcId, CoroCtx<Q, R>) -> ProcFuture,
-    {
-        let chan = Rc::new(Chan {
-            req: Cell::new(None),
-            resp: Cell::new(None),
-        });
-        let ctx = CoroCtx {
-            me: id,
-            chan: Rc::clone(&chan),
-        };
-        ProcSlot {
-            fut: Some(body(id, ctx)),
-            chan,
-        }
     }
 
     /// Number of processes in the pool.
@@ -263,42 +257,8 @@ impl<Q: 'static, R: 'static> CoroPool<Q, R> {
             Ok(Poll::Ready(())) => Step::Done,
             Err(payload) => Step::Panicked(panic_message(payload.as_ref())),
         };
-        self.kill(proc);
+        slot.fut = None;
         step
-    }
-
-    /// Terminates process `proc` by dropping its future, discarding
-    /// whatever it was doing. A no-op on a process that already finished.
-    ///
-    /// This is the rollback primitive: a mis-speculated process cannot be
-    /// "rewound", so the optimistic simulator kills it and respawns a
-    /// fresh body, replaying the committed response history. The slot
-    /// stays dead until [`CoroPool::respawn`].
-    pub fn kill(&mut self, proc: ProcId) {
-        self.slots[proc].fut = None;
-    }
-
-    /// Replaces a killed (or finished) process with a fresh body. The new
-    /// process is suspended awaiting its first resume, exactly like at
-    /// pool construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `proc` is still live — kill it first.
-    pub fn respawn<F>(&mut self, proc: ProcId, body: F)
-    where
-        F: FnOnce(ProcId, CoroCtx<Q, R>) -> ProcFuture,
-    {
-        assert!(
-            !self.is_live(proc),
-            "respawned process {proc} while it is still live"
-        );
-        self.slots[proc] = Self::spawn_proc(proc, body);
-    }
-
-    /// Returns `true` if `proc` has not yet finished.
-    pub fn is_live(&self, proc: ProcId) -> bool {
-        self.slots[proc].fut.is_some()
     }
 }
 
@@ -319,6 +279,14 @@ mod tests {
 
     type Body = Box<dyn FnOnce(ProcId, CoroCtx<u32, u32>) -> ProcFuture>;
 
+    /// Asserts that `proc` has finished: resuming it again must panic.
+    fn assert_finished(pool: &mut CoroPool<u32, u32>, proc: ProcId) {
+        let payload = catch_unwind(AssertUnwindSafe(|| pool.resume(proc, 0)))
+            .expect_err("resuming a finished process must panic");
+        let msg = panic_message(payload.as_ref());
+        assert!(msg.contains("after it finished"), "{msg}");
+    }
+
     #[test]
     fn single_process_request_response_cycle() {
         let mut pool: CoroPool<u32, u32> = CoroPool::new(1, |_, ctx| async move {
@@ -337,7 +305,7 @@ mod tests {
         };
         assert_eq!(q, 12);
         assert!(matches!(pool.resume(0, 22), Step::Done));
-        assert!(!pool.is_live(0));
+        assert_finished(&mut pool, 0);
     }
 
     #[test]
@@ -361,7 +329,6 @@ mod tests {
         }
         let mut done = 0;
         while done < n {
-            done = 0;
             for p in 0..n {
                 if let Some(q) = pending[p].take() {
                     match pool.resume(p, q) {
@@ -369,12 +336,9 @@ mod tests {
                             order.push(q2);
                             pending[p] = Some(q2);
                         }
-                        Step::Done => {}
+                        Step::Done => done += 1,
                         Step::Panicked(m) => panic!("{m}"),
                     }
-                }
-                if !pool.is_live(p) {
-                    done += 1;
                 }
             }
         }
@@ -422,7 +386,7 @@ mod tests {
             Step::Panicked(msg) => assert!(msg.contains("deliberate test panic")),
             other => panic!("{other:?}"),
         }
-        assert!(!pool.is_live(0));
+        assert_finished(&mut pool, 0);
     }
 
     #[test]
@@ -432,7 +396,7 @@ mod tests {
             Step::Panicked(msg) => assert!(msg.contains("without issuing"), "{msg}"),
             other => panic!("{other:?}"),
         }
-        assert!(!pool.is_live(0));
+        assert_finished(&mut pool, 0);
     }
 
     #[test]
@@ -454,7 +418,7 @@ mod tests {
     fn body_returning_without_requests_is_done_immediately() {
         let mut pool: CoroPool<u32, u32> = CoroPool::new(1, |_, _| async {});
         assert!(matches!(pool.resume(0, 0), Step::Done));
-        assert!(!pool.is_live(0));
+        assert_finished(&mut pool, 0);
     }
 
     #[test]
@@ -481,31 +445,6 @@ mod tests {
         assert_eq!(dropped.get(), 0);
         drop(pool);
         assert_eq!(dropped.get(), 4);
-    }
-
-    #[test]
-    fn kill_and_respawn_replays_a_fresh_body() {
-        fn body(_: ProcId, ctx: CoroCtx<u32, u32>) -> ProcFuture {
-            Box::pin(async move {
-                ctx.call(1).await;
-                ctx.call(2).await;
-            })
-        }
-        let mut pool = CoroPool::from_bodies(vec![body]);
-        // Run to the second request, then kill mid-request.
-        assert!(matches!(pool.resume(0, 0), Step::Request(1)));
-        assert!(matches!(pool.resume(0, 0), Step::Request(2)));
-        pool.kill(0);
-        assert!(!pool.is_live(0));
-        // The respawned body starts from scratch: same request sequence.
-        pool.respawn(0, body);
-        assert!(pool.is_live(0));
-        assert!(matches!(pool.resume(0, 0), Step::Request(1)));
-        assert!(matches!(pool.resume(0, 0), Step::Request(2)));
-        assert!(matches!(pool.resume(0, 0), Step::Done));
-        // Killing a finished process is a no-op.
-        pool.kill(0);
-        assert!(!pool.is_live(0));
     }
 
     #[test]

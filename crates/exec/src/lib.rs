@@ -299,8 +299,7 @@ impl JobCtx<'_> {
     /// of the shared flags and so outlives the `JobCtx` borrow. The
     /// experiment layer installs it into the simulation engine, which
     /// polls it between events — a cancelled or deadline-expired job
-    /// then aborts mid-run (mid-speculation included, in the optimistic
-    /// engine) instead of completing a forfeit simulation.
+    /// then aborts mid-run instead of completing a forfeit simulation.
     pub fn cancel_probe(&self) -> Box<dyn Fn() -> bool + Send + 'static> {
         let cancel = self.cancel.clone();
         let phase = self.phase.cloned();

@@ -72,9 +72,6 @@ impl Hasher for FxHasher {
 /// A `HashMap` using [`FxHasher`].
 pub(crate) type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
-/// A `HashSet` using [`FxHasher`].
-pub(crate) type FxHashSet<T> = std::collections::HashSet<T, BuildHasherDefault<FxHasher>>;
-
 #[cfg(test)]
 mod tests {
     use super::*;

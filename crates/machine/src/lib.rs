@@ -74,10 +74,7 @@ pub mod sync;
 mod telemetry;
 
 pub use addr::{Addr, AddressMap, UnallocatedAddress, BLOCK_BYTES, WORD_BYTES};
-pub use engine::{
-    proc_body, BodyFactory, CancelProbe, Engine, EngineMode, ProcBody, RunError, RunReport,
-    SpecStats,
-};
+pub use engine::{proc_body, CancelProbe, Engine, ProcBody, RunError, RunReport};
 pub use faults::{FaultCounters, FaultPlan, RunBudget};
 pub use models::{MachineConfig, MachineKind, Model};
 pub use ops::{MemCtx, MemReq, MemResp, Pred, RmwOp};

@@ -14,7 +14,7 @@ use spasm_desim::SimTime;
 use spasm_logp::GapPolicy;
 use spasm_topology::Topology;
 
-use crate::engine::{EngineMode, RunError};
+use crate::engine::RunError;
 use crate::faults::{FaultPlan, RunBudget};
 use crate::{Addr, AddressMap, Buckets};
 
@@ -79,11 +79,6 @@ pub struct MachineConfig {
     /// and the report carries one [`crate::IntervalRecord`] per non-empty
     /// bucket.
     pub telemetry: Option<crate::TelemetryConfig>,
-    /// Which execution strategy drives the event loop. Sequential (the
-    /// default) and optimistic produce bit-identical results (see
-    /// [`EngineMode`]); the knob still goes into the sweep fingerprint
-    /// so resumed journals know which engine produced their points.
-    pub engine: EngineMode,
 }
 
 impl Default for MachineConfig {
@@ -97,7 +92,6 @@ impl Default for MachineConfig {
             budget: RunBudget::UNLIMITED,
             check: CheckMode::Off,
             telemetry: None,
-            engine: EngineMode::Sequential,
         }
     }
 }
@@ -118,7 +112,8 @@ impl MachineConfig {
         fp.absorb_str(&format!("{:?}", self.budget));
         fp.absorb_str(&format!("{:?}", self.check));
         fp.absorb_str(&format!("{:?}", self.telemetry));
-        fp.absorb_str(&format!("{:?}", self.engine));
+        // Journals written while an engine-mode knob existed keep resuming.
+        fp.absorb_str("Sequential");
     }
 }
 
@@ -307,19 +302,6 @@ impl Model {
     /// machine, where a spin loop really does re-touch the network.
     pub fn is_polling(&self) -> bool {
         matches!(self, Model::LogP(_))
-    }
-
-    /// A digest of the model's mutable coherence state (0 for the
-    /// cache-less machines, which keep no per-access mutable state worth
-    /// auditing). The optimistic engine's strict mode hashes this around
-    /// every rollback to prove replay never perturbs committed state.
-    pub fn state_hash(&self) -> u64 {
-        match self {
-            Model::Pram(_) => 0,
-            Model::Target(m) => m.coherence_hash(),
-            Model::LogP(_) => 0,
-            Model::CLogP(m) => m.coherence_hash(),
-        }
     }
 
     /// Aggregate counters for the run report.

@@ -1,22 +1,20 @@
 //! Robustness of the polled engine: every way a run can stop early — a
-//! panicking poll, a tripped budget, a cancellation, a rollback under
-//! the optimistic engine — ends in a typed [`RunError`] (or a clean
-//! report), never a hang or an abort, and every processor future the
+//! panicking poll, a tripped budget, a cancellation — ends in a typed
+//! [`RunError`], never a hang or an abort, and every processor future the
 //! engine built is dropped exactly once by the time the engine is gone.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use spasm_machine::{
-    proc_body, Addr, Engine, EngineMode, MachineConfig, MachineKind, Pred, ProcBody, RunBudget,
-    RunError, SetupCtx,
+    proc_body, Engine, MachineConfig, MachineKind, Pred, ProcBody, RunBudget, RunError, SetupCtx,
 };
 use spasm_topology::Topology;
 
 /// Counts processor futures built and dropped. Each body moves a
-/// [`Guard`] into its future, so dropping the future (finish, rollback,
-/// failed run, engine teardown) drops the guard.
-#[derive(Clone, Default)]
+/// [`Guard`] into its future, so dropping the future (finish, failed
+/// run, engine teardown) drops the guard.
+#[derive(Default)]
 struct Census {
     built: Arc<AtomicUsize>,
     dropped: Arc<AtomicUsize>,
@@ -170,95 +168,4 @@ fn a_cancel_probe_firing_mid_run_drops_every_suspended_future() {
     assert_eq!(census.dropped(), 0);
     drop(engine);
     assert_eq!(census.dropped(), 4);
-}
-
-/// Two processors race `fetch_add`s on a word homed at node 0: under
-/// the optimistic engine the remote RMW's dispatch-to-commit window
-/// keeps swallowing the local one's commit, so predictions are refuted
-/// and the speculated futures rolled back. The factory rebuilds a body
-/// whose increments come from `rebuilt_inc`; the original adds 1.
-fn racing_engine(census: &Census, rebuilt_inc: fn() -> u64) -> Engine {
-    fn body(census: &Census, counter: Addr, inc: fn() -> u64) -> ProcBody {
-        let guard = census.guard();
-        proc_body(async move |_, mem| {
-            let _guard = guard;
-            for _ in 0..30 {
-                mem.fetch_add(counter, inc()).await;
-                mem.compute(5).await;
-            }
-        })
-    }
-    fn one() -> u64 {
-        1
-    }
-    let topo = Topology::full(2);
-    let mut setup = SetupCtx::new(2);
-    let counter = setup.alloc(0, 1);
-    let config = MachineConfig {
-        engine: EngineMode::Optimistic { workers: 4 },
-        ..MachineConfig::default()
-    };
-    let bodies = vec![body(census, counter, one), body(census, counter, one)];
-    let mut engine = Engine::with_config(MachineKind::CLogP, &topo, config, setup, bodies);
-    let census = census.clone();
-    engine.set_body_factory(Box::new(move |_| body(&census, counter, rebuilt_inc)));
-    engine
-}
-
-#[test]
-fn a_rollback_drops_the_speculated_future() {
-    fn one() -> u64 {
-        1
-    }
-    let census = Census::default();
-    let mut engine = racing_engine(&census, one);
-    let report = engine
-        .run()
-        .expect("a deterministic factory replays cleanly");
-    let rollbacks = report.spec.rollbacks as usize;
-    assert!(rollbacks > 0, "the schedule must roll back");
-    assert_eq!(census.built(), 2 + rollbacks, "one rebuild per rollback");
-    assert_eq!(
-        census.dropped(),
-        census.built(),
-        "finished run holds nothing"
-    );
-    drop(engine);
-    assert_eq!(census.dropped(), census.built());
-}
-
-#[test]
-fn a_rollback_whose_rebuild_diverges_is_a_typed_error() {
-    fn two() -> u64 {
-        2
-    }
-    let census = Census::default();
-    let mut engine = racing_engine(&census, two);
-    match engine.run() {
-        Err(RunError::Check(v)) => assert_eq!(v.invariant, "rollback-replay", "{v}"),
-        other => panic!("expected a rollback-replay violation, got {other:?}"),
-    }
-    // The refuted speculation was dropped before the replay began; the
-    // rebuilt body and the other processor are still suspended.
-    assert_eq!(census.built(), 3);
-    assert_eq!(census.dropped(), 1);
-    drop(engine);
-    assert_eq!(census.dropped(), 3);
-}
-
-#[test]
-fn a_rollback_whose_rebuild_panics_is_a_typed_error() {
-    fn exploding() -> u64 {
-        panic!("rebuilt body exploded")
-    }
-    let census = Census::default();
-    let mut engine = racing_engine(&census, exploding);
-    match engine.run() {
-        Err(RunError::Panicked { message, .. }) => assert_eq!(message, "rebuilt body exploded"),
-        other => panic!("expected the replay's panic, got {other:?}"),
-    }
-    assert_eq!(census.built(), 3);
-    assert_eq!(census.dropped(), 2, "refuted and panicked futures are gone");
-    drop(engine);
-    assert_eq!(census.dropped(), 3);
 }

@@ -3,7 +3,7 @@
 # min-wall (min_ns) per row against the committed baselines at the repo
 # root (BENCH_sim_speed.json, BENCH_coherence_micro.json,
 # BENCH_exec_speed.json, BENCH_scenario_speed.json,
-# BENCH_timewarp_speed.json, BENCH_net_micro.json). Fails if any timing
+# BENCH_net_micro.json). Fails if any timing
 # row regresses more than the tolerance.
 #
 # Usage:
@@ -25,7 +25,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCHES=(sim_speed coherence_micro exec_speed scenario_speed timewarp_speed net_micro)
+BENCHES=(sim_speed coherence_micro exec_speed scenario_speed net_micro)
 RUN=1
 SMOKE=0
 for arg in "$@"; do

@@ -90,7 +90,7 @@ fn single_fault_species_each_meet_the_oracle() {
 
 #[test]
 fn a_seeded_campaign_passes_across_all_families() {
-    // One trial per family; the chaos ci tier runs the longer sweep.
+    // Every family at least once; the chaos ci tier runs the longer sweep.
     let outcome = run_campaign(&CampaignConfig::new(0xC4A05, 4))
         .unwrap_or_else(|failure| panic!("campaign failed: {failure}"));
     assert_eq!(outcome.trials, 4);

@@ -13,12 +13,27 @@
 
 use spasm::apps::{AppId, SizeClass};
 use spasm::core::{Experiment, Machine, Net, RunMetrics};
-use spasm::machine::CheckMode;
+use spasm::machine::{CheckMode, FaultPlan, MachineConfig, TelemetryConfig};
 use spasm_testkit::{check_with, gens, prop_assert, Config};
 
 /// Runs one experiment with invariant checking on, panicking (with the
 /// full violation report) if any checker fires or verification fails.
 fn run_checked(app: AppId, machine: Machine, net: Net, procs: usize, seed: u64) -> RunMetrics {
+    let mut config = machine.config();
+    config.check = CheckMode::On;
+    run_config(app, machine, net, procs, seed, config)
+}
+
+/// Runs one experiment under `config`, panicking (with the full
+/// violation report) if it fails or its result does not verify.
+fn run_config(
+    app: AppId,
+    machine: Machine,
+    net: Net,
+    procs: usize,
+    seed: u64,
+    config: MachineConfig,
+) -> RunMetrics {
     let exp = Experiment {
         app,
         size: SizeClass::Test,
@@ -27,20 +42,30 @@ fn run_checked(app: AppId, machine: Machine, net: Net, procs: usize, seed: u64) 
         procs,
         seed,
     };
-    let mut config = machine.config();
-    config.check = CheckMode::On;
-    exp.run_with_config(config)
-        .unwrap_or_else(|e| panic!("{app} on {machine}/{net} p={procs} seed={seed}: {e}"))
+    exp.run_with_config(config).unwrap_or_else(|e| {
+        let faults = config.faults;
+        panic!("{app} on {machine}/{net} p={procs} seed={seed} faults={faults:?}: {e}")
+    })
 }
 
 /// The acceptance grid: every application on every machine
-/// characterization at procs ∈ {1, 2, 4, 8}, invariant-clean.
+/// characterization at procs ∈ {1, 2, 4, 8}, invariant-clean — healthy,
+/// and under two adversarial fault plans with interval telemetry on,
+/// where every run must still complete and verify: injected faults
+/// perturb timing, never results.
 #[test]
 fn all_apps_invariant_clean_on_all_machines() {
     for app in AppId::ALL {
         for machine in Machine::ALL {
             for procs in [1usize, 2, 4, 8] {
                 run_checked(app, machine, Net::Cube, procs, 7);
+                for fault_seed in [11, 29] {
+                    let mut config = machine.config();
+                    config.check = CheckMode::On;
+                    config.faults = Some(FaultPlan::adversarial(fault_seed));
+                    config.telemetry = Some(TelemetryConfig::every_us(50));
+                    run_config(app, machine, Net::Cube, procs, 1995, config);
+                }
             }
         }
     }
@@ -48,22 +73,20 @@ fn all_apps_invariant_clean_on_all_machines() {
 
 /// Strict mode adds the conformance cross-checks (dispatch, access,
 /// delivery agreement between model prices and engine schedule); a
-/// healthy machine must be clean under it too.
+/// healthy machine must be clean under it too, on every application and
+/// processor count, with interval telemetry on.
 #[test]
 fn strict_mode_is_clean_on_healthy_machines() {
     for machine in Machine::ALL {
-        let exp = Experiment {
-            app: AppId::Is,
-            size: SizeClass::Test,
-            net: Net::Mesh,
-            machine,
-            procs: 4,
-            seed: 11,
-        };
         let mut config = machine.config();
         config.check = CheckMode::Strict;
-        exp.run_with_config(config)
-            .unwrap_or_else(|e| panic!("{machine}: {e}"));
+        run_config(AppId::Is, machine, Net::Mesh, 4, 11, config);
+        config.telemetry = Some(TelemetryConfig::every_us(50));
+        for app in AppId::ALL {
+            for procs in [1usize, 2, 4, 8] {
+                run_config(app, machine, Net::Cube, procs, 1995, config);
+            }
+        }
     }
 }
 
