@@ -18,7 +18,7 @@ use spasm_apps::SizeClass;
 use spasm_bench::harness::Harness;
 use spasm_core::figures;
 use spasm_core::journal::SweepJournal;
-use spasm_core::sweep::{run_figure_journaled, run_figure_with, SweepConfig};
+use spasm_core::sweep::{run_figure, SweepConfig};
 
 fn main() {
     let mut h = Harness::new("exec_speed");
@@ -27,12 +27,14 @@ fn main() {
 
     for jobs in [1usize, 2, 4] {
         h.bench(&format!("sweep_f2/jobs{jobs}"), || {
-            let data = run_figure_with(
+            let data = run_figure(
                 spec,
                 SizeClass::Test,
                 procs,
                 1995,
                 SweepConfig::parallel(jobs),
+                None,
+                |_| {},
             );
             assert_eq!(data.failed_points(), 0, "F2 must sweep clean");
             data
@@ -52,8 +54,15 @@ fn main() {
         let journal =
             SweepJournal::create(&journal_path, spec, SizeClass::Test, procs, 1995, &sweep)
                 .expect("journal creates");
-        let data =
-            run_figure_journaled(spec, SizeClass::Test, procs, 1995, sweep, &journal, |_| {});
+        let data = run_figure(
+            spec,
+            SizeClass::Test,
+            procs,
+            1995,
+            sweep,
+            Some(&journal),
+            |_| {},
+        );
         assert_eq!(data.failed_points(), 0, "F2 must sweep clean");
         assert!(journal.io_error().is_none(), "journal must persist");
         data
@@ -64,12 +73,14 @@ fn main() {
     // the headline number directly.
     let wall = |jobs: usize| {
         let t0 = Instant::now();
-        std::hint::black_box(run_figure_with(
+        std::hint::black_box(run_figure(
             spec,
             SizeClass::Test,
             procs,
             1995,
             SweepConfig::parallel(jobs),
+            None,
+            |_| {},
         ));
         t0.elapsed()
     };

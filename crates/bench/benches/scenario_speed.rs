@@ -9,7 +9,7 @@
 
 use spasm_apps::SizeClass;
 use spasm_bench::harness::Harness;
-use spasm_core::sweep::{run_figure_with, SweepConfig};
+use spasm_core::sweep::{run_figure, SweepConfig};
 use spasm_machine::TelemetryConfig;
 
 const SCN: &str = "\
@@ -48,7 +48,15 @@ fn main() {
     let procs: &[usize] = &[2, 4, 8];
 
     h.bench("scenario_bsp/telemetry_off", || {
-        let data = run_figure_with(spec, SizeClass::Test, procs, 1995, SweepConfig::default());
+        let data = run_figure(
+            spec,
+            SizeClass::Test,
+            procs,
+            1995,
+            SweepConfig::default(),
+            None,
+            |_| {},
+        );
         assert_eq!(data.failed_points(), 0, "scenario must sweep clean");
         data
     });
@@ -58,12 +66,20 @@ fn main() {
             telemetry: Some(TelemetryConfig::every_us(100)),
             ..SweepConfig::default()
         };
-        let data = run_figure_with(spec, SizeClass::Test, procs, 1995, sweep);
+        let data = run_figure(spec, SizeClass::Test, procs, 1995, sweep, None, |_| {});
         assert_eq!(data.failed_points(), 0, "scenario must sweep clean");
         data
     });
 
-    let data = run_figure_with(spec, SizeClass::Test, procs, 1995, SweepConfig::default());
+    let data = run_figure(
+        spec,
+        SizeClass::Test,
+        procs,
+        1995,
+        SweepConfig::default(),
+        None,
+        |_| {},
+    );
     let events: u64 = data
         .series
         .iter()

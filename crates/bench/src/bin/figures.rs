@@ -59,7 +59,7 @@ use spasm_bench::{parse_jobs, parse_procs, parse_size};
 use spasm_core::figures::{self, FigureSpec};
 use spasm_core::journal::SweepJournal;
 use spasm_core::shard::{merge_shards, ShardError, ShardSpec};
-use spasm_core::sweep::{run_figure_journaled, run_figure_observed, run_figure_shard, SweepConfig};
+use spasm_core::sweep::{run_figure, run_figure_shard, SweepConfig};
 use spasm_exec::ExecEvent;
 use spasm_machine::{CheckMode, FaultPlan, RunBudget, TelemetryConfig};
 
@@ -617,7 +617,6 @@ fn main() -> ExitCode {
             .telemetry
             .as_ref()
             .map(|_| TelemetryConfig::every_us(args.telemetry_interval_us)),
-        ..SweepConfig::default()
     };
     if let Some(dir) = &args.merge {
         return run_merge(&args, &sweep, dir);
@@ -633,45 +632,51 @@ fn main() -> ExitCode {
     let mut failed_points = 0;
     for spec in &args.figures {
         let started = Instant::now();
+        let journal = match &args.journal {
+            Some(base) => {
+                let jpath = format!("{base}.{}", spec.id);
+                let journal = match open_journal(&jpath, spec, &args, &sweep) {
+                    Ok(j) => j,
+                    Err(code) => return code,
+                };
+                if journal.repaired_bytes() > 0 {
+                    eprintln!(
+                        "{}: journal {jpath}: dropped a {}-byte torn tail",
+                        spec.id,
+                        journal.repaired_bytes()
+                    );
+                }
+                Some((jpath, journal))
+            }
+            None => None,
+        };
         // Per-point wall times, folded per series by the observer as the
         // pool reports completions (job indices are series-major). Under
         // a resumed journal the fresh points are a sparse subset, so the
-        // index->series mapping no longer holds and timing is folded
-        // into one figure-level total instead.
+        // index->series mapping no longer holds and only the
+        // figure-level total is reported.
         let points_per_series = args.procs.len().max(1);
         let mut series_busy = vec![Duration::ZERO; spec.machines.len()];
-        let mut fresh_busy = Duration::ZERO;
         let mut fresh_points = 0usize;
-        let data = if let Some(base) = &args.journal {
-            let jpath = format!("{base}.{}", spec.id);
-            let journal = match open_journal(&jpath, spec, &args, &sweep) {
-                Ok(j) => j,
-                Err(code) => return code,
-            };
-            if journal.repaired_bytes() > 0 {
-                eprintln!(
-                    "{}: journal {jpath}: dropped a {}-byte torn tail",
-                    spec.id,
-                    journal.repaired_bytes()
-                );
-            }
-            let data = run_figure_journaled(
-                spec,
-                args.size,
-                &args.procs,
-                args.seed,
-                sweep,
-                &journal,
-                |ev| {
-                    if let ExecEvent::Finished { wall, .. }
-                    | ExecEvent::Panicked { wall, .. }
-                    | ExecEvent::Deadlined { wall, .. } = ev
-                    {
-                        fresh_busy += *wall;
-                        fresh_points += 1;
-                    }
-                },
-            );
+        let data = run_figure(
+            spec,
+            args.size,
+            &args.procs,
+            args.seed,
+            sweep,
+            journal.as_ref().map(|(_, j)| j),
+            |ev| {
+                let (ExecEvent::Finished { job, wall, .. }
+                | ExecEvent::Panicked { job, wall, .. }
+                | ExecEvent::Deadlined { job, wall, .. }) = ev;
+                series_busy[job / points_per_series] += *wall;
+                fresh_points += 1;
+            },
+        );
+        total_busy += series_busy.iter().sum::<Duration>();
+        // Timing goes to stderr: the stdout stream stays parseable
+        // (tables/CSV only) and byte-identical across --jobs settings.
+        if let Some((jpath, journal)) = &journal {
             eprintln!(
                 "{}: journal {jpath}: {} point(s) replayed, {} run fresh",
                 spec.id,
@@ -688,19 +693,7 @@ fn main() -> ExitCode {
             if let Some(w) = journal.dir_sync_warning() {
                 eprintln!("{}: warning: {w}", spec.id);
             }
-            total_busy += fresh_busy;
-            data
         } else {
-            let data = run_figure_observed(spec, args.size, &args.procs, args.seed, sweep, |ev| {
-                if let ExecEvent::Finished { job, wall, .. }
-                | ExecEvent::Panicked { job, wall, .. }
-                | ExecEvent::Deadlined { job, wall, .. } = ev
-                {
-                    series_busy[job / points_per_series] += *wall;
-                }
-            });
-            // Timing goes to stderr: the stdout stream stays parseable
-            // (tables/CSV only) and byte-identical across --jobs settings.
             for (s, busy) in data.series.iter().zip(&series_busy) {
                 eprintln!(
                     "{}: series {}: {:.1?} simulated across {} point(s)",
@@ -709,10 +702,8 @@ fn main() -> ExitCode {
                     busy,
                     data.procs.len()
                 );
-                total_busy += *busy;
             }
-            data
-        };
+        }
         let figure_wall = started.elapsed();
         println!("{}", data.render_table());
         if args.chart {

@@ -30,11 +30,19 @@ pub fn parse_size(s: &str) -> Option<SizeClass> {
 /// Parses a comma-separated processor list. Counts the networks cannot
 /// host (non-powers-of-two, zero) are accepted here: the resilient
 /// sweep layer reports them as typed `FAILED` points instead of the CLI
-/// guessing at validity.
+/// guessing at validity. A repeated count is refused: sweep points, and
+/// the journal records that persist them, are keyed by processor count
+/// per machine, so a repeat would alias another point.
 pub fn parse_procs(s: &str) -> Option<Vec<usize>> {
-    s.split(',')
+    let procs: Vec<usize> = s
+        .split(',')
         .map(|t| t.trim().parse::<usize>().ok())
-        .collect()
+        .collect::<Option<_>>()?;
+    let distinct = procs
+        .iter()
+        .enumerate()
+        .all(|(i, p)| !procs[..i].contains(p));
+    distinct.then_some(procs)
 }
 
 /// Parses a `--jobs` worker count: `auto` (or `0`) means one worker per
@@ -76,5 +84,8 @@ mod tests {
         // FAILED points rather than a CLI rejection.
         assert_eq!(parse_procs("3"), Some(vec![3]));
         assert_eq!(parse_procs("2,x"), None);
+        // A repeated count would alias another point's journal record.
+        assert_eq!(parse_procs("2,2,4"), None);
+        assert_eq!(parse_procs("4, 2,4"), None);
     }
 }

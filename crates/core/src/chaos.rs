@@ -40,7 +40,7 @@ use spasm_testkit::{gens, minimize, Gen, TestRng};
 use crate::figures::{self, FigureSpec};
 use crate::journal::SweepJournal;
 use crate::shard::{merge_shards_with, ShardSpec};
-use crate::sweep::{run_figure_journaled, run_figure_shard, FigureData, SweepConfig};
+use crate::sweep::{run_figure, run_figure_shard, FigureData, SweepConfig};
 
 /// One figure sweep pinned down tightly enough for byte-identity
 /// comparisons: the figure, its size class, processor counts, seed, and
@@ -172,13 +172,13 @@ pub fn run_reference(cs: &ChaosSweep) -> Result<(String, Vec<TraceEntry>), Chaos
         &cs.sweep,
     )
     .map_err(|e| ChaosError::Harness(format!("reference journal create failed: {e}")))?;
-    let data = run_figure_journaled(
+    let data = run_figure(
         cs.spec,
         cs.size,
         &cs.procs,
         cs.seed,
         cs.sweep,
-        &journal,
+        Some(&journal),
         |_| {},
     );
     if let Some(err) = journal.io_error() {
@@ -230,13 +230,13 @@ pub fn verify_script_with(
         cs.seed,
         victim,
     ) {
-        let data = run_figure_journaled(
+        let data = run_figure(
             cs.spec,
             cs.size,
             &cs.procs,
             cs.seed,
             *victim,
-            &journal,
+            Some(&journal),
             |_| {},
         );
         if !fault.crashed() && victim.deadline == cs.sweep.deadline {
@@ -272,13 +272,13 @@ pub fn verify_script_with(
         ) {
             Ok(journal) => {
                 let replayed = journal.replayed();
-                let data = run_figure_journaled(
+                let data = run_figure(
                     cs.spec,
                     cs.size,
                     &cs.procs,
                     cs.seed,
                     cs.sweep,
-                    &journal,
+                    Some(&journal),
                     |_| {},
                 );
                 if fault.crashed() {

@@ -224,16 +224,13 @@ impl ExperimentError {
 }
 
 /// A job-level failure from the parallel executor: a panic outside the
-/// experiment's own `catch_unwind` fence or a pre-run cancellation maps
-/// onto the abort class; a deadline overrun keeps its own typed variant
-/// so renderers and retry policy can distinguish "slow" from "broken".
+/// experiment's own `catch_unwind` fence maps onto the abort class; a
+/// deadline overrun keeps its own typed variant so renderers and retry
+/// policy can distinguish "slow" from "broken".
 impl From<spasm_exec::JobError> for ExperimentError {
     fn from(e: spasm_exec::JobError) -> Self {
         match e {
             spasm_exec::JobError::Panicked(msg) => ExperimentError::Aborted(msg),
-            spasm_exec::JobError::Cancelled(reason) => {
-                ExperimentError::Aborted(format!("job not run: {reason}"))
-            }
             spasm_exec::JobError::Deadline { limit } => ExperimentError::Deadline { limit },
         }
     }

@@ -11,11 +11,11 @@
 //!
 //! Only completed *attempt cycles* are journaled: a point that ran to a
 //! verdict (`Ok`, or `Failed` with `attempts >= 1`) is durable, while
-//! job-level casualties — points cancelled by a shared budget, killed
-//! by the deadline watchdog, or lost to a SIGKILL — are not, so a
-//! resumed sweep re-runs exactly those and converges on the same
-//! [`crate::sweep::FigureData`] an uninterrupted run produces,
-//! byte-for-byte (failure reasons replay verbatim via
+//! job-level casualties — points that panicked past the experiment
+//! fence, were cancelled by the deadline watchdog, or were lost to a
+//! SIGKILL — are not, so a resumed sweep re-runs exactly those and
+//! converges on the same [`crate::sweep::FigureData`] an uninterrupted
+//! run produces, byte-for-byte (failure reasons replay verbatim via
 //! [`ExperimentError::Replayed`]).
 
 use std::collections::HashMap;
@@ -29,7 +29,7 @@ use spasm_journal::{DirSyncWarning, Fingerprint, Journal, JournalError, RealVfs,
 use spasm_machine::IntervalRecord;
 
 use crate::figures::FigureSpec;
-use crate::sweep::{Outcome, SweepConfig};
+use crate::sweep::{Outcome, SweepConfig, MAX_ATTEMPTS};
 use crate::{ExperimentError, Machine, RunMetrics};
 
 /// Why a journal could not be created, opened, or replayed.
@@ -83,12 +83,10 @@ impl ResumeError {
 
 /// Fingerprint of everything that determines a sweep's point outcomes.
 ///
-/// Scheduling knobs are deliberately excluded — `jobs`, `deadline`, and
-/// `backoff` change *when* points run, not what they compute, and a
-/// sweep may legitimately be resumed with more workers or a longer
-/// deadline than the run that was killed. `total_events` *is* included:
-/// its cuts depend on completion timing, so resuming under a different
-/// global budget could not reproduce the original run either way.
+/// Scheduling knobs are deliberately excluded — `jobs` and `deadline`
+/// change *when* points run, not what they compute, and a sweep may
+/// legitimately be resumed with more workers or a longer deadline than
+/// the run that was killed.
 pub fn sweep_fingerprint(
     spec: &FigureSpec,
     size: SizeClass,
@@ -129,9 +127,11 @@ pub fn sweep_fingerprint(
     fp.absorb_u64(seed);
     fp.absorb_str(&format!("{:?}", sweep.faults));
     fp.absorb_str(&format!("{:?}", sweep.budget));
-    fp.absorb_u64(u64::from(sweep.max_attempts));
+    // Journals written while the attempt ceiling and a sweep-wide event
+    // budget were knobs keep resuming: absorb their only values in use.
+    fp.absorb_u64(u64::from(MAX_ATTEMPTS));
     fp.absorb_str(&format!("{:?}", sweep.check));
-    fp.absorb_str(&format!("{:?}", sweep.total_events));
+    fp.absorb_str("None");
     fp.absorb_str(&format!("{:?}", sweep.telemetry));
     // Journals written while an engine-mode knob existed keep resuming.
     fp.absorb_str("Sequential");
@@ -655,6 +655,25 @@ mod tests {
     }
 
     #[test]
+    fn faulted_checked_sweep_fingerprint_matches_journals_written_by_earlier_versions() {
+        // Pinned from the release that still had attempt-ceiling and
+        // sweep-wide event-budget knobs, with every outcome-affecting
+        // knob away from its default, so such a journal still resumes.
+        let spec = figures::by_id("F12").unwrap();
+        let sweep = SweepConfig {
+            faults: Some(spasm_machine::FaultPlan::adversarial(7)),
+            budget: spasm_machine::RunBudget::events(1_000_000),
+            check: spasm_machine::CheckMode::On,
+            telemetry: Some(spasm_machine::TelemetryConfig::every_us(100)),
+            ..SweepConfig::default()
+        };
+        assert_eq!(
+            sweep_fingerprint(spec, SizeClass::Test, &[2, 4], 5, &sweep),
+            0x83ba_7d89_64cb_1ecf
+        );
+    }
+
+    #[test]
     fn fingerprint_separates_every_outcome_affecting_knob() {
         let spec = figures::by_id("F1").unwrap();
         let base = sweep_fingerprint(spec, SizeClass::Test, &[2, 4], 5, &SweepConfig::default());
@@ -693,14 +712,6 @@ mod tests {
             base,
             sweep_fingerprint(spec, SizeClass::Test, &[2, 4], 6, &SweepConfig::default())
         );
-        let budgeted = SweepConfig {
-            total_events: Some(10),
-            ..SweepConfig::default()
-        };
-        assert_ne!(
-            base,
-            sweep_fingerprint(spec, SizeClass::Test, &[2, 4], 5, &budgeted)
-        );
         // Telemetry changes what every record carries, so it separates.
         let instrumented = SweepConfig {
             telemetry: Some(spasm_machine::TelemetryConfig::every_us(100)),
@@ -714,10 +725,6 @@ mod tests {
         let rescheduled = SweepConfig {
             jobs: 7,
             deadline: Some(Duration::from_secs(30)),
-            backoff: spasm_exec::Backoff::exponential(
-                Duration::from_millis(1),
-                Duration::from_millis(8),
-            ),
             ..SweepConfig::default()
         };
         assert_eq!(

@@ -16,7 +16,7 @@
 use std::time::Duration;
 
 use spasm_apps::SizeClass;
-use spasm_exec::{execute, Backoff, CostBudget, ExecConfig, ExecEvent, JobCtx, JobOutput};
+use spasm_exec::{execute, ExecConfig, ExecEvent, JobCtx, JobError};
 use spasm_machine::{CheckMode, FaultPlan, IntervalRecord, RunBudget, RunError, TelemetryConfig};
 
 use crate::figures::{FigureSpec, Metric};
@@ -76,6 +76,11 @@ impl Outcome {
     }
 }
 
+/// Attempt ceiling per point. Retries happen only for budget-class
+/// failures under an active fault plan (each retry reseeds the fault
+/// stream); deterministic failures are never retried.
+pub const MAX_ATTEMPTS: u32 = 3;
+
 /// Sweep-level resilience knobs, applied on top of each machine's own
 /// configuration.
 #[derive(Debug, Clone, Copy)]
@@ -86,23 +91,11 @@ pub struct SweepConfig {
     /// Resource budget per run; an exceeded budget fails the point, not
     /// the figure.
     pub budget: RunBudget,
-    /// Attempt ceiling per point. Retries happen only for budget-class
-    /// failures under an active fault plan (each retry reseeds the fault
-    /// stream); deterministic failures are never retried.
-    pub max_attempts: u32,
     /// Worker count for the sweep's point executor: `1` (the default)
     /// runs inline on the calling thread, `0` means one worker per host
     /// hardware thread, `n > 1` spawns `n` OS workers. Output is
     /// byte-identical across all settings.
     pub jobs: usize,
-    /// Global simulator-event budget for the *whole* sweep, accounted
-    /// across all workers (the parallel analogue of the per-run
-    /// [`RunBudget`]): once exceeded, remaining points fail with
-    /// [`ExperimentError::Aborted`] instead of running. `None` is
-    /// unlimited. Which points are cut depends on completion timing, so
-    /// set this only as a safety valve, not in determinism-sensitive
-    /// sweeps.
-    pub total_events: Option<u64>,
     /// Online invariant checking applied to every run. A violated
     /// invariant fails the point (never retried — the checkers are
     /// deterministic) without failing the figure.
@@ -116,10 +109,6 @@ pub struct SweepConfig {
     /// so a resume with a longer deadline re-runs exactly the points
     /// that timed out.
     pub deadline: Option<Duration>,
-    /// Pause schedule between reseeded retries of budget-class failures
-    /// (deterministic capped exponential, jittered per point seed).
-    /// [`Backoff::NONE`] (the default) retries immediately.
-    pub backoff: Backoff,
     /// Streaming interval telemetry applied to every run. `None` (the
     /// default) collects nothing. Telemetry is outcome-affecting for
     /// journaling purposes — the records ride in the journal — so it
@@ -132,12 +121,9 @@ impl Default for SweepConfig {
         SweepConfig {
             faults: None,
             budget: RunBudget::UNLIMITED,
-            max_attempts: 3,
             jobs: 1,
-            total_events: None,
             check: CheckMode::Off,
             deadline: None,
-            backoff: Backoff::NONE,
             telemetry: None,
         }
     }
@@ -179,66 +165,89 @@ pub fn extract(metric: Metric, m: &RunMetrics) -> f64 {
     }
 }
 
-/// Runs the full processor sweep for one figure with default resilience
-/// settings (no faults, no budget). Never fails as a whole: each point
-/// carries its own [`Outcome`].
-pub fn run_figure(spec: &FigureSpec, size: SizeClass, procs: &[usize], seed: u64) -> FigureData {
-    run_figure_with(spec, size, procs, seed, SweepConfig::default())
-}
-
-/// Runs the sweep under explicit resilience settings: optional fault
-/// injection, per-run budgets, bounded reseeded retries for budget-class
-/// failures, and a worker pool sized by [`SweepConfig::jobs`].
-pub fn run_figure_with(
-    spec: &FigureSpec,
-    size: SizeClass,
-    procs: &[usize],
-    seed: u64,
-    sweep: SweepConfig,
-) -> FigureData {
-    run_figure_observed(spec, size, procs, seed, sweep, |_| {})
-}
-
-/// [`run_figure_with`], streaming executor progress events (queue /
-/// start / finish, per-point wall time and fault counts) to `observe` on
-/// the calling thread — the hook the `figures` CLI uses for live timing.
+/// Runs the full processor sweep for one figure. Never fails as a whole:
+/// each point carries its own [`Outcome`].
 ///
-/// Points are submitted series-major (every processor count of the first
-/// machine, then the second, …), exactly the serial iteration order, and
-/// results are reassembled by submission index, so the returned
-/// [`FigureData`] does not depend on scheduling.
-pub fn run_figure_observed(
+/// `sweep` sets the resilience knobs (fault injection, per-run budgets,
+/// bounded reseeded retries for budget-class failures) and the worker
+/// pool size. `observe` sees one [`ExecEvent`] per simulated point, with
+/// its wall time, on the calling thread — the hook the `figures` CLI uses
+/// for live timing. Points are submitted series-major (every processor
+/// count of the first machine, then the second, …), exactly the serial
+/// iteration order, and results are reassembled by submission index, so
+/// the returned [`FigureData`] does not depend on scheduling.
+///
+/// Under a durable `journal`, points it already holds are replayed
+/// without simulating (and without entering the executor, so the
+/// observer sees only fresh points), and every freshly completed point is
+/// appended to the journal before its result is assembled. Kill this at
+/// any moment and re-run with a resumed journal: the final
+/// [`FigureData`] is byte-identical to an uninterrupted sweep. Points
+/// that never completed an attempt cycle — overrun by the deadline
+/// watchdog, panicked past the experiment fence, or lost to the crash
+/// itself — are *not* journaled, so a resume re-runs them.
+///
+/// `procs` must hold distinct counts: journal records are keyed by
+/// (machine, procs), so a repeated count would alias another point.
+pub fn run_figure(
     spec: &FigureSpec,
     size: SizeClass,
     procs: &[usize],
     seed: u64,
     sweep: SweepConfig,
+    journal: Option<&SweepJournal>,
     observe: impl FnMut(&ExecEvent),
 ) -> FigureData {
-    run_figure_inner(spec, size, procs, seed, sweep, None, observe)
-}
-
-/// [`run_figure_observed`] under a durable [`SweepJournal`]: points the
-/// journal already holds are replayed without simulating (and without
-/// entering the executor, so the observer sees only fresh points), and
-/// every freshly completed point is appended to the journal before its
-/// result is assembled. Kill this at any moment and re-run with a
-/// resumed journal: the final [`FigureData`] is byte-identical to an
-/// uninterrupted sweep.
-///
-/// Points that never completed an attempt cycle — cancelled by the
-/// shared event budget, overrun by the deadline watchdog, or lost to
-/// the crash itself — are *not* journaled, so a resume re-runs them.
-pub fn run_figure_journaled(
-    spec: &FigureSpec,
-    size: SizeClass,
-    procs: &[usize],
-    seed: u64,
-    sweep: SweepConfig,
-    journal: &SweepJournal,
-    observe: impl FnMut(&ExecEvent),
-) -> FigureData {
-    run_figure_inner(spec, size, procs, seed, sweep, Some(journal), observe)
+    let fresh = run_pending(grid(spec, size, procs, seed), sweep, journal, observe);
+    let mut slots = fresh.into_iter();
+    let mut series = Vec::with_capacity(spec.machines.len());
+    for &machine in spec.machines {
+        let mut values = Vec::with_capacity(procs.len());
+        let mut metrics = Vec::with_capacity(procs.len());
+        let mut outcomes = Vec::with_capacity(procs.len());
+        let mut telemetry = Vec::with_capacity(procs.len());
+        for &p in procs {
+            let (outcome, m, intervals) = match journal.and_then(|j| j.lookup(machine, p)) {
+                // Replayed from the journal: this point never entered
+                // the executor, so it consumes no result slot.
+                Some(replayed) => replayed,
+                None => match slots
+                    .next()
+                    .expect("one result slot per non-journaled point")
+                {
+                    Ok(point) => point,
+                    // A job-level failure (panic past the experiment
+                    // fence or a deadline overrun) becomes a FAILED cell
+                    // like any other; attempts = 0 records that the
+                    // simulation never completed an attempt cycle.
+                    Err(e) => (
+                        Outcome::Failed {
+                            error: e.into(),
+                            attempts: 0,
+                        },
+                        None,
+                        Vec::new(),
+                    ),
+                },
+            };
+            values.push(m.as_ref().map_or(f64::NAN, |m| extract(spec.metric, m)));
+            metrics.push(m);
+            outcomes.push(outcome);
+            telemetry.push(intervals);
+        }
+        series.push(Series {
+            machine,
+            values,
+            metrics,
+            outcomes,
+            telemetry,
+        });
+    }
+    FigureData {
+        spec: *spec,
+        procs: procs.to_vec(),
+        series,
+    }
 }
 
 /// What one shard worker's pass over its points amounted to.
@@ -264,7 +273,7 @@ pub struct ShardRunReport {
 /// to a serial run. Kill this worker at any moment and re-run it with a
 /// resumed journal: completed points replay, the rest re-run, and the
 /// shard converges on the same records.
-#[allow(clippy::too_many_arguments)] // mirrors run_figure_journaled + the shard
+#[allow(clippy::too_many_arguments)] // run_figure's arguments plus the shard
 pub fn run_figure_shard(
     spec: &FigureSpec,
     size: SizeClass,
@@ -275,45 +284,34 @@ pub fn run_figure_shard(
     journal: &SweepJournal,
     observe: impl FnMut(&ExecEvent),
 ) -> ShardRunReport {
-    let mut owned = 0usize;
+    let owned: Vec<(Machine, Experiment)> = grid(spec, size, procs, seed)
+        .into_iter()
+        .enumerate()
+        .filter(|&(i, _)| shard.owns(i))
+        .map(|(_, point)| point)
+        .collect();
     let mut replayed = 0usize;
     let mut failed = 0usize;
-    let mut points = Vec::new();
-    for (i, (machine, exp)) in grid(spec, size, procs, seed).into_iter().enumerate() {
-        if !shard.owns(i) {
-            continue;
-        }
-        owned += 1;
-        match journal.lookup(machine, exp.procs) {
-            Some((outcome, _, _)) => {
-                replayed += 1;
-                if !outcome.is_ok() {
-                    failed += 1;
-                }
+    for (machine, exp) in &owned {
+        if let Some((outcome, _, _)) = journal.lookup(*machine, exp.procs) {
+            replayed += 1;
+            if !outcome.is_ok() {
+                failed += 1;
             }
-            None => points.push((machine, exp)),
         }
     }
-    let fresh = points.len();
-    let report = execute(
-        exec_config(sweep, seed),
-        points,
-        |ctx, (machine, exp)| journaled_point(Some(journal), sweep, machine, &exp, Some(ctx)),
-        observe,
-    );
-    for slot in &report.results {
-        match slot {
-            Ok((outcome, _, _)) if outcome.is_ok() => {}
-            // A failed point or a job-level casualty (cancelled,
-            // deadlined, panicked) — the latter never reached the
-            // journal and will re-run on the next resume.
-            _ => failed += 1,
-        }
-    }
+    let owned_count = owned.len();
+    let fresh = run_pending(owned, sweep, Some(journal), observe);
+    // A failed point or a job-level casualty (deadlined, panicked) — the
+    // latter never reached the journal and will re-run on the next resume.
+    failed += fresh
+        .iter()
+        .filter(|slot| !matches!(slot, Ok((outcome, _, _)) if outcome.is_ok()))
+        .count();
     ShardRunReport {
-        owned,
+        owned: owned_count,
         replayed,
-        fresh,
+        fresh: fresh.len(),
         failed,
     }
 }
@@ -348,18 +346,33 @@ fn grid(
         .collect()
 }
 
-/// The executor configuration shared by the full and sharded sweep
-/// paths.
-fn exec_config(sweep: SweepConfig, seed: u64) -> ExecConfig {
-    ExecConfig {
+/// One simulated point: its outcome, metrics (`None` when failed) and
+/// interval telemetry.
+type PointResult = (Outcome, Option<RunMetrics>, Vec<IntervalRecord>);
+
+/// Simulates the `points` that `journal` does not already hold and
+/// returns one slot per simulated point, in submission order. The full
+/// and sharded sweeps share this one path onto the executor.
+fn run_pending(
+    points: Vec<(Machine, Experiment)>,
+    sweep: SweepConfig,
+    journal: Option<&SweepJournal>,
+    observe: impl FnMut(&ExecEvent),
+) -> Vec<Result<PointResult, JobError>> {
+    let points: Vec<(Machine, Experiment)> = points
+        .into_iter()
+        .filter(|(machine, exp)| journal.is_none_or(|j| j.lookup(*machine, exp.procs).is_none()))
+        .collect();
+    let config = ExecConfig {
         jobs: sweep.jobs,
-        seed,
         deadline: sweep.deadline,
-        cost_budget: sweep
-            .total_events
-            .map_or(CostBudget::UNLIMITED, CostBudget::units),
-        ..ExecConfig::default()
-    }
+    };
+    execute(
+        config,
+        points,
+        |ctx, (machine, exp)| journaled_point(journal, sweep, machine, &exp, ctx),
+        observe,
+    )
 }
 
 /// Runs one submitted point on a worker and makes it durable: the
@@ -371,13 +384,13 @@ fn journaled_point(
     sweep: SweepConfig,
     machine: Machine,
     exp: &Experiment,
-    ctx: Option<&JobCtx<'_>>,
-) -> JobOutput<(Outcome, Option<RunMetrics>, Vec<IntervalRecord>)> {
+    ctx: &JobCtx<'_>,
+) -> PointResult {
     let (outcome, m, telemetry) = run_point(exp, machine, sweep, ctx);
-    // A mid-run cancellation (deadline watchdog, batch cancel) is not a
-    // verdict on the point — the executor discards the result anyway —
-    // so it must never reach the journal: a journaled "failure" from an
-    // aborted run would poison every resume with uncommitted history.
+    // A mid-run cancellation (the deadline watchdog) is not a verdict on
+    // the point — the executor discards the result anyway — so it must
+    // never reach the journal: a journaled "failure" from an aborted run
+    // would poison every resume with uncommitted history.
     let cancelled = matches!(
         &outcome,
         Outcome::Failed {
@@ -390,89 +403,7 @@ fn journaled_point(
             j.record(machine, exp.procs, &outcome, m.as_ref(), &telemetry);
         }
     }
-    let (cost, faults) = m.as_ref().map_or((0, 0), |m| (m.events, m.faults_injected));
-    JobOutput {
-        value: (outcome, m, telemetry),
-        cost,
-        faults,
-    }
-}
-
-fn run_figure_inner(
-    spec: &FigureSpec,
-    size: SizeClass,
-    procs: &[usize],
-    seed: u64,
-    sweep: SweepConfig,
-    journal: Option<&SweepJournal>,
-    observe: impl FnMut(&ExecEvent),
-) -> FigureData {
-    // Series-major order, minus already-journaled points: submission
-    // indices — and thus job seeds and results — stay deterministic for
-    // a fixed replay set.
-    let points: Vec<(Machine, Experiment)> = grid(spec, size, procs, seed)
-        .into_iter()
-        .filter(|&(machine, ref exp)| {
-            journal.is_none_or(|j| j.lookup(machine, exp.procs).is_none())
-        })
-        .collect();
-    let report = execute(
-        exec_config(sweep, seed),
-        points,
-        |ctx, (machine, exp)| journaled_point(journal, sweep, machine, &exp, Some(ctx)),
-        observe,
-    );
-
-    let mut slots = report.results.into_iter();
-    let mut series = Vec::with_capacity(spec.machines.len());
-    for &machine in spec.machines {
-        let mut values = Vec::with_capacity(procs.len());
-        let mut metrics = Vec::with_capacity(procs.len());
-        let mut outcomes = Vec::with_capacity(procs.len());
-        let mut telemetry = Vec::with_capacity(procs.len());
-        for &p in procs {
-            let (outcome, m, intervals) = match journal.and_then(|j| j.lookup(machine, p)) {
-                // Replayed from the journal: this point never entered
-                // the executor, so it consumes no result slot.
-                Some(replayed) => replayed,
-                None => match slots
-                    .next()
-                    .expect("one result slot per non-journaled point")
-                {
-                    Ok(point) => point,
-                    // A job-level failure (panic past the experiment
-                    // fence, a point cancelled by the shared budget, or
-                    // a deadline overrun) becomes a FAILED cell like any
-                    // other; attempts = 0 records that the simulation
-                    // never completed an attempt cycle.
-                    Err(e) => (
-                        Outcome::Failed {
-                            error: e.into(),
-                            attempts: 0,
-                        },
-                        None,
-                        Vec::new(),
-                    ),
-                },
-            };
-            values.push(m.as_ref().map_or(f64::NAN, |m| extract(spec.metric, m)));
-            metrics.push(m);
-            outcomes.push(outcome);
-            telemetry.push(intervals);
-        }
-        series.push(Series {
-            machine,
-            values,
-            metrics,
-            outcomes,
-            telemetry,
-        });
-    }
-    FigureData {
-        spec: *spec,
-        procs: procs.to_vec(),
-        series,
-    }
+    (outcome, m, telemetry)
 }
 
 /// Runs one sweep point with bounded retry. A retry is worthwhile only
@@ -481,16 +412,15 @@ fn run_figure_inner(
 /// is deterministic and would fail identically. Shared verbatim by the
 /// serial and parallel paths (the executor calls it from worker
 /// threads), with [`retry_seed`] supplying the per-attempt fault seed.
-/// The executor's `ctx`, when present, supplies a cancellation probe the
-/// engine polls between events, so a deadline-expired point aborts
-/// mid-run instead of finishing a forfeit simulation.
+/// The executor's `ctx` supplies a cancellation probe the engine polls
+/// between events, so a deadline-expired point aborts mid-run instead of
+/// finishing a forfeit simulation.
 fn run_point(
     exp: &Experiment,
     machine: Machine,
     sweep: SweepConfig,
-    ctx: Option<&JobCtx<'_>>,
-) -> (Outcome, Option<RunMetrics>, Vec<IntervalRecord>) {
-    let max_attempts = sweep.max_attempts.max(1);
+    ctx: &JobCtx<'_>,
+) -> PointResult {
     let mut attempts = 0;
     loop {
         attempts += 1;
@@ -502,17 +432,9 @@ fn run_point(
             seed: retry_seed(f.seed, attempts),
             ..f
         });
-        match exp.run_observed(config, ctx.map(JobCtx::cancel_probe)) {
+        match exp.run_observed(config, Some(ctx.cancel_probe())) {
             Ok((m, telemetry)) => return (Outcome::Ok, Some(m), telemetry),
-            Err(e) if e.is_retryable() && sweep.faults.is_some() && attempts < max_attempts => {
-                // Deterministic in (config, point seed, attempt): the
-                // pause schedule never perturbs results, only pacing.
-                let pause = sweep.backoff.delay(exp.seed, attempts);
-                if !pause.is_zero() {
-                    std::thread::sleep(pause);
-                }
-                continue;
-            }
+            Err(e) if e.is_retryable() && sweep.faults.is_some() && attempts < MAX_ATTEMPTS => {}
             Err(e) => return (Outcome::Failed { error: e, attempts }, None, Vec::new()),
         }
     }
@@ -761,10 +683,19 @@ mod tests {
     use crate::Net;
     use spasm_apps::AppId;
 
+    /// A default-config, unjournaled sweep at test size.
+    fn plain(spec: &FigureSpec, procs: &[usize], seed: u64) -> FigureData {
+        with(spec, procs, seed, SweepConfig::default())
+    }
+
+    fn with(spec: &FigureSpec, procs: &[usize], seed: u64, sweep: SweepConfig) -> FigureData {
+        run_figure(spec, SizeClass::Test, procs, seed, sweep, None, |_| {})
+    }
+
     #[test]
     fn small_sweep_produces_aligned_data() {
         let spec = figures::by_id("F1").unwrap();
-        let data = run_figure(spec, SizeClass::Test, &[2, 4], 5);
+        let data = plain(spec, &[2, 4], 5);
         assert_eq!(data.procs, vec![2, 4]);
         assert_eq!(data.series.len(), 3);
         assert_eq!(data.failed_points(), 0);
@@ -781,7 +712,7 @@ mod tests {
     #[test]
     fn table_and_csv_render() {
         let spec = figures::by_id("F12").unwrap();
-        let data = run_figure(spec, SizeClass::Test, &[2], 5);
+        let data = plain(spec, &[2], 5);
         let table = data.render_table();
         assert!(table.contains("F12"));
         assert!(table.contains("target"));
@@ -794,7 +725,7 @@ mod tests {
     #[test]
     fn chart_renders_axes_key_and_points() {
         let spec = figures::by_id("F12").unwrap();
-        let data = run_figure(spec, SizeClass::Test, &[2, 4], 5);
+        let data = plain(spec, &[2, 4], 5);
         let chart = data.render_chart(8);
         assert!(chart.contains("F12"));
         assert!(chart.contains("T=target"));
@@ -820,7 +751,7 @@ mod tests {
             machines: &[Machine::Pram],
             expect: "zeros",
         };
-        let data = run_figure(&spec, SizeClass::Test, &[2], 1);
+        let data = plain(&spec, &[2], 1);
         assert!(data.render_chart(6).contains("all values zero"));
     }
 
@@ -834,7 +765,7 @@ mod tests {
             machines: &[Machine::Pram, Machine::Target],
             expect: "test",
         };
-        let data = run_figure(&spec, SizeClass::Test, &[2], 1);
+        let data = plain(&spec, &[2], 1);
         assert!(data.series_for(Machine::Pram).is_some());
         assert!(data.series_for(Machine::LogP).is_none());
         // PRAM is the ideal-time floor.
@@ -855,7 +786,7 @@ mod tests {
             machines: &[Machine::Pram, Machine::Target],
             expect: "one failed column",
         };
-        let data = run_figure(&spec, SizeClass::Test, &[2, 3, 4], 1);
+        let data = plain(&spec, &[2, 3, 4], 1);
         assert_eq!(data.failed_points(), 2); // one per series
         for s in &data.series {
             assert!(s.values[0].is_finite());
@@ -881,7 +812,7 @@ mod tests {
     fn budget_failures_retry_reseeded_then_fail_typed() {
         // An absurdly small event budget under an active fault plan: every
         // attempt exhausts the budget, so the point fails after exactly
-        // `max_attempts` reseeded tries.
+        // `MAX_ATTEMPTS` reseeded tries.
         let spec = figures::FigureSpec {
             id: "B",
             app: AppId::Ep,
@@ -893,10 +824,9 @@ mod tests {
         let sweep = SweepConfig {
             faults: Some(FaultPlan::quiet(7)),
             budget: RunBudget::events(3),
-            max_attempts: 2,
             ..SweepConfig::default()
         };
-        let data = run_figure_with(&spec, SizeClass::Test, &[2], 1, sweep);
+        let data = with(&spec, &[2], 1, sweep);
         match &data.series[0].outcomes[0] {
             Outcome::Failed { error, attempts } => {
                 assert!(
@@ -906,7 +836,7 @@ mod tests {
                     ),
                     "{error}"
                 );
-                assert_eq!(*attempts, 2);
+                assert_eq!(*attempts, MAX_ATTEMPTS);
             }
             other => panic!("expected Failed outcome, got {other:?}"),
         }
@@ -935,8 +865,8 @@ mod tests {
     #[test]
     fn parallel_sweep_is_bit_identical_to_serial() {
         let spec = figures::by_id("F1").unwrap();
-        let serial = run_figure_with(spec, SizeClass::Test, &[2, 4], 5, SweepConfig::default());
-        let parallel = run_figure_with(spec, SizeClass::Test, &[2, 4], 5, SweepConfig::parallel(4));
+        let serial = with(spec, &[2, 4], 5, SweepConfig::default());
+        let parallel = with(spec, &[2, 4], 5, SweepConfig::parallel(4));
         assert_eq!(serial.to_csv(), parallel.to_csv());
         assert_eq!(serial.render_table(), parallel.render_table());
         assert_eq!(serial.render_chart(10), parallel.render_chart(10));
@@ -959,40 +889,10 @@ mod tests {
             machines: &[Machine::Pram, Machine::Target],
             expect: "one failed column, both paths",
         };
-        let serial = run_figure(&spec, SizeClass::Test, &[2, 3, 4], 1);
-        let parallel = run_figure_with(
-            &spec,
-            SizeClass::Test,
-            &[2, 3, 4],
-            1,
-            SweepConfig::parallel(3),
-        );
+        let serial = plain(&spec, &[2, 3, 4], 1);
+        let parallel = with(&spec, &[2, 3, 4], 1, SweepConfig::parallel(3));
         assert_eq!(serial.to_csv(), parallel.to_csv());
         assert_eq!(parallel.failed_points(), 2);
-    }
-
-    #[test]
-    fn sweep_total_event_budget_aborts_the_tail() {
-        // A one-event global budget: the first point to finish trips it
-        // and later points abort before running. Serial pool keeps the
-        // cut deterministic.
-        let spec = figures::by_id("F12").unwrap();
-        let sweep = SweepConfig {
-            total_events: Some(1),
-            ..SweepConfig::default()
-        };
-        let data = run_figure_with(spec, SizeClass::Test, &[2, 4], 5, sweep);
-        assert!(data.series[0].outcomes[0].is_ok(), "first point still runs");
-        match &data.series[2].outcomes[1] {
-            Outcome::Failed { error, attempts } => {
-                assert!(
-                    matches!(error, ExperimentError::Aborted(_)),
-                    "expected Aborted, got {error}"
-                );
-                assert_eq!(*attempts, 0, "cancelled points never attempt");
-            }
-            other => panic!("expected Failed outcome, got {other:?}"),
-        }
     }
 
     #[test]
@@ -1000,12 +900,13 @@ mod tests {
         use std::cell::RefCell;
         let spec = figures::by_id("F12").unwrap();
         let finished = RefCell::new(0usize);
-        let data = run_figure_observed(
+        let data = run_figure(
             spec,
             SizeClass::Test,
             &[2, 4],
             5,
             SweepConfig::parallel(2),
+            None,
             |ev| {
                 if matches!(ev, spasm_exec::ExecEvent::Finished { .. }) {
                     *finished.borrow_mut() += 1;
@@ -1020,7 +921,7 @@ mod tests {
         use crate::journal::SweepJournal;
         let spec = figures::by_id("F1").unwrap();
         let sweep = SweepConfig::default();
-        let plain = run_figure_with(spec, SizeClass::Test, &[2, 4], 5, sweep);
+        let plain = with(spec, &[2, 4], 5, sweep);
 
         let dir = std::env::temp_dir().join("spasm-sweep-journal-tests");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1029,7 +930,7 @@ mod tests {
 
         // First journaled run: identical output, every point recorded.
         let j = SweepJournal::create(&path, spec, SizeClass::Test, &[2, 4], 5, &sweep).unwrap();
-        let first = run_figure_journaled(spec, SizeClass::Test, &[2, 4], 5, sweep, &j, |_| {});
+        let first = run_figure(spec, SizeClass::Test, &[2, 4], 5, sweep, Some(&j), |_| {});
         assert!(j.io_error().is_none());
         assert_eq!(first.to_csv(), plain.to_csv());
         drop(j);
@@ -1039,7 +940,7 @@ mod tests {
         let r = SweepJournal::resume(&path, spec, SizeClass::Test, &[2, 4], 5, &sweep).unwrap();
         assert_eq!(r.replayed(), spec.machines.len() * 2);
         let mut fresh = 0usize;
-        let resumed = run_figure_journaled(spec, SizeClass::Test, &[2, 4], 5, sweep, &r, |ev| {
+        let resumed = run_figure(spec, SizeClass::Test, &[2, 4], 5, sweep, Some(&r), |ev| {
             if matches!(ev, ExecEvent::Finished { .. }) {
                 fresh += 1;
             }
@@ -1060,7 +961,7 @@ mod tests {
             machines: &[Machine::Pram],
             expect: "reason column",
         };
-        let data = run_figure(&spec, SizeClass::Test, &[2, 3], 1);
+        let data = plain(&spec, &[2, 3], 1);
         let csv = data.to_csv();
         let mut lines = csv.lines();
         assert_eq!(
@@ -1090,8 +991,8 @@ mod tests {
             faults: Some(FaultPlan::adversarial(11)),
             ..SweepConfig::default()
         };
-        let a = run_figure_with(spec, SizeClass::Test, &[2], 5, sweep);
-        let b = run_figure_with(spec, SizeClass::Test, &[2], 5, sweep);
+        let a = with(spec, &[2], 5, sweep);
+        let b = with(spec, &[2], 5, sweep);
         for (sa, sb) in a.series.iter().zip(&b.series) {
             assert_eq!(
                 sa.values[0].to_bits(),

@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use spasm_apps::SizeClass;
 use spasm_core::journal::SweepJournal;
-use spasm_core::sweep::{run_figure_journaled, run_figure_with, SweepConfig};
+use spasm_core::sweep::{run_figure, SweepConfig};
 use spasm_core::{figures, Machine};
 use spasm_machine::{proc_body, CheckMode, Engine, MachineKind, ProcBody, RunError, SetupCtx};
 use spasm_topology::Topology;
@@ -129,7 +129,15 @@ fn cancelled_points_never_reach_the_journal() {
         ..sweep
     };
     let j = SweepJournal::create(&path, spec, SizeClass::Small, &procs, seed, &doomed).unwrap();
-    let data = run_figure_journaled(spec, SizeClass::Small, &procs, seed, doomed, &j, |_| {});
+    let data = run_figure(
+        spec,
+        SizeClass::Small,
+        &procs,
+        seed,
+        doomed,
+        Some(&j),
+        |_| {},
+    );
     assert!(j.io_error().is_none());
     assert_eq!(
         data.failed_points(),
@@ -149,14 +157,14 @@ fn cancelled_points_never_reach_the_journal() {
 
     // Pass 2: resume without the deadline; the re-run must match an
     // uninterrupted sweep exactly.
-    let clean = run_figure_with(spec, SizeClass::Small, &procs, seed, sweep);
-    let recovered = run_figure_journaled(
+    let clean = run_figure(spec, SizeClass::Small, &procs, seed, sweep, None, |_| {});
+    let recovered = run_figure(
         spec,
         SizeClass::Small,
         &procs,
         seed,
         sweep,
-        &resumed,
+        Some(&resumed),
         |_| {},
     );
     assert_eq!(recovered.failed_points(), 0);

@@ -12,12 +12,14 @@
 //! Everything downstream is the ordinary figure pipeline:
 //!
 //! ```no_run
-//! use spasm_core::{figures::PROC_SWEEP, sweep};
+//! use spasm_core::figures::PROC_SWEEP;
+//! use spasm_core::sweep::{run_figure, SweepConfig};
 //! use spasm_apps::SizeClass;
 //!
 //! let sc = spasm_scenario::parse("[scenario]\nname = demo\n[phase]\nkind = barrier\n")?;
 //! let spec = spasm_scenario::compile(&sc)?;
-//! let data = sweep::run_figure(spec, SizeClass::Test, PROC_SWEEP, 42);
+//! let config = SweepConfig::default();
+//! let data = run_figure(spec, SizeClass::Test, PROC_SWEEP, 42, config, None, |_| {});
 //! println!("{}", spasm_scenario::report(&sc, &data));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -337,7 +339,15 @@ mod tests {
             .unwrap_err()
             .contains("different definition"));
 
-        let data = sweep::run_figure(spec, SizeClass::Test, &[2, 4], 7);
+        let data = sweep::run_figure(
+            spec,
+            SizeClass::Test,
+            &[2, 4],
+            7,
+            SweepConfig::default(),
+            None,
+            |_| {},
+        );
         let rep = report(&sc, &data);
         assert_eq!(rep.points, 8);
         assert_eq!(rep.failed, 0, "{}", data.render_table());
@@ -354,7 +364,7 @@ mod tests {
             telemetry: Some(TelemetryConfig::every_us(50)),
             ..SweepConfig::default()
         };
-        let data = sweep::run_figure_with(spec, SizeClass::Test, &[2], 7, cfg);
+        let data = sweep::run_figure(spec, SizeClass::Test, &[2], 7, cfg, None, |_| {});
         let rep = report(&sc, &data);
         assert_eq!(rep.failed, 0);
         assert!(rep.intervals > 0, "intervals must be recorded");

@@ -16,6 +16,16 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "==> cargo build --release --offline --workspace"
 cargo build --release --offline --workspace
 
+# The benchmark probe (perfbench/probe) is a Cargo workspace of its own,
+# so the clippy and build steps above never compile it: a public-API
+# change under crates/ could break the benchmark unnoticed. Build it into
+# the same target directory, then run the benchmark harness's unit tests.
+echo "==> cargo build --release --offline --locked (perfbench/probe)"
+CARGO_TARGET_DIR=target cargo build --release --offline --locked \
+    --manifest-path perfbench/probe/Cargo.toml
+echo "==> perfbench unit tests"
+PYTHONDONTWRITEBYTECODE=1 python3 -m unittest discover -s perfbench -p 'test_*.py'
+
 echo "==> cargo test -q --offline --workspace"
 tests_started=$SECONDS
 cargo test -q --offline --workspace

@@ -89,14 +89,14 @@ fn golden_fingerprint_full_matrix() {
 #[test]
 fn parallel_sweep_is_byte_identical_to_serial() {
     use spasm::core::figures;
-    use spasm::core::sweep::{run_figure_with, SweepConfig};
+    use spasm::core::sweep::{run_figure, SweepConfig};
     use spasm::machine::FaultPlan;
 
     let spec = figures::by_id("F2").expect("F2 exists");
     let procs = [2, 4, 8];
     let plans: [Option<FaultPlan>; 2] = [None, Some(FaultPlan::adversarial(1995))];
     for faults in plans {
-        let serial = run_figure_with(
+        let serial = run_figure(
             spec,
             SizeClass::Test,
             &procs,
@@ -106,8 +106,10 @@ fn parallel_sweep_is_byte_identical_to_serial() {
                 jobs: 1,
                 ..SweepConfig::default()
             },
+            None,
+            |_| {},
         );
-        let parallel = run_figure_with(
+        let parallel = run_figure(
             spec,
             SizeClass::Test,
             &procs,
@@ -117,6 +119,8 @@ fn parallel_sweep_is_byte_identical_to_serial() {
                 jobs: 4,
                 ..SweepConfig::default()
             },
+            None,
+            |_| {},
         );
         let label = if faults.is_some() {
             "faulted"

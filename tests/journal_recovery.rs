@@ -13,7 +13,7 @@ use std::sync::OnceLock;
 use spasm::apps::SizeClass;
 use spasm::core::figures;
 use spasm::core::journal::{ResumeError, SweepJournal};
-use spasm::core::sweep::{run_figure_journaled, run_figure_with, SweepConfig};
+use spasm::core::sweep::{run_figure, SweepConfig};
 use spasm::journal::JournalError;
 use spasm_testkit::{check_with, gens, prop_assert, prop_assert_eq, Config};
 
@@ -39,12 +39,11 @@ fn fixture() -> &'static (String, String, Vec<u8>) {
     FIXTURE.get_or_init(|| {
         let spec = figures::by_id("F1").expect("F1 is a defined figure");
         let sweep = SweepConfig::default();
-        let clean = run_figure_with(spec, SizeClass::Test, &PROCS, SEED, sweep);
+        let clean = run_figure(spec, SizeClass::Test, &PROCS, SEED, sweep, None, |_| {});
         let path = scratch();
         let j = SweepJournal::create(&path, spec, SizeClass::Test, &PROCS, SEED, &sweep)
             .expect("create in temp dir");
-        let journaled =
-            run_figure_journaled(spec, SizeClass::Test, &PROCS, SEED, sweep, &j, |_| {});
+        let journaled = run_figure(spec, SizeClass::Test, &PROCS, SEED, sweep, Some(&j), |_| {});
         assert_eq!(journaled.to_csv(), clean.to_csv());
         let bytes = fs::read(&path).expect("journal readable");
         fs::remove_file(&path).expect("cleanup");
@@ -60,7 +59,7 @@ fn resume_and_compare(path: &PathBuf) -> Result<Result<(), ResumeError>, String>
     let sweep = SweepConfig::default();
     match SweepJournal::resume(path, spec, SizeClass::Test, &PROCS, SEED, &sweep) {
         Ok(j) => {
-            let data = run_figure_journaled(spec, SizeClass::Test, &PROCS, SEED, sweep, &j, |_| {});
+            let data = run_figure(spec, SizeClass::Test, &PROCS, SEED, sweep, Some(&j), |_| {});
             prop_assert_eq!(&data.to_csv(), clean_csv, "CSV diverged after resume");
             prop_assert_eq!(
                 &data.render_table(),

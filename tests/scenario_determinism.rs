@@ -12,7 +12,7 @@ use std::sync::OnceLock;
 use spasm::apps::SizeClass;
 use spasm::core::figures::FigureSpec;
 use spasm::core::journal::SweepJournal;
-use spasm::core::sweep::{run_figure_journaled, run_figure_with, SweepConfig};
+use spasm::core::sweep::{run_figure, FigureData, SweepConfig};
 use spasm::machine::TelemetryConfig;
 
 const SEED: u64 = 7;
@@ -39,6 +39,19 @@ fn sweep(jobs: usize) -> SweepConfig {
     }
 }
 
+/// The bundled scenario's sweep on `jobs` workers, optionally journaled.
+fn run(jobs: usize, journal: Option<&SweepJournal>) -> FigureData {
+    run_figure(
+        spec(),
+        SizeClass::Test,
+        &PROCS,
+        SEED,
+        sweep(jobs),
+        journal,
+        |_| {},
+    )
+}
+
 /// A unique scratch path per call.
 fn scratch() -> PathBuf {
     static NEXT: AtomicU64 = AtomicU64::new(0);
@@ -52,7 +65,7 @@ fn scratch() -> PathBuf {
 
 #[test]
 fn telemetry_is_byte_identical_across_worker_counts() {
-    let serial = run_figure_with(spec(), SizeClass::Test, &PROCS, SEED, sweep(1));
+    let serial = run(1, None);
     assert_eq!(serial.failed_points(), 0);
     let jsonl = serial.to_telemetry_jsonl();
     assert!(
@@ -60,7 +73,7 @@ fn telemetry_is_byte_identical_across_worker_counts() {
         "telemetry must actually be on"
     );
     for jobs in [2usize, 4] {
-        let parallel = run_figure_with(spec(), SizeClass::Test, &PROCS, SEED, sweep(jobs));
+        let parallel = run(jobs, None);
         assert_eq!(
             parallel.to_telemetry_jsonl(),
             jsonl,
@@ -76,7 +89,7 @@ fn telemetry_survives_kill_and_resume_byte_identical() {
     let path = scratch();
     let j = SweepJournal::create(&path, spec(), SizeClass::Test, &PROCS, SEED, &sweep(1))
         .expect("create journal");
-    let clean = run_figure_journaled(spec(), SizeClass::Test, &PROCS, SEED, sweep(1), &j, |_| {});
+    let clean = run(1, Some(&j));
     assert_eq!(clean.failed_points(), 0);
     let jsonl = clean.to_telemetry_jsonl();
     assert!(jsonl.contains("\"kind\":\"interval\""));
@@ -90,8 +103,7 @@ fn telemetry_survives_kill_and_resume_byte_identical() {
         fs::write(&damaged, &bytes[..cut]).expect("write damaged copy");
         let j = SweepJournal::resume(&damaged, spec(), SizeClass::Test, &PROCS, SEED, &sweep(1))
             .unwrap_or_else(|e| panic!("resume after cut at {cut}: {e}"));
-        let resumed =
-            run_figure_journaled(spec(), SizeClass::Test, &PROCS, SEED, sweep(1), &j, |_| {});
+        let resumed = run(1, Some(&j));
         assert_eq!(
             resumed.to_telemetry_jsonl(),
             jsonl,

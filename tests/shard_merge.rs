@@ -14,7 +14,7 @@ use spasm::apps::SizeClass;
 use spasm::core::figures::{self, FigureSpec};
 use spasm::core::journal::{sweep_fingerprint, SweepJournal};
 use spasm::core::shard::{merge_shards, MergeReport, ShardError, ShardSpec};
-use spasm::core::sweep::{run_figure_shard, run_figure_with, Outcome, SweepConfig};
+use spasm::core::sweep::{run_figure, run_figure_shard, Outcome, SweepConfig};
 use spasm::journal::Journal;
 
 const SEED: u64 = 5;
@@ -38,12 +38,14 @@ fn scratch_dir() -> PathBuf {
 fn serial() -> &'static (String, String) {
     static FIXTURE: OnceLock<(String, String)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
-        let data = run_figure_with(
+        let data = run_figure(
             spec(),
             SizeClass::Test,
             &PROCS,
             SEED,
             SweepConfig::default(),
+            None,
+            |_| {},
         );
         (data.render_table(), data.to_csv())
     })
